@@ -6,14 +6,34 @@ from .editing import (CandidateCapExceeded, EditTrace, EditTrainConfig,
                       generate_counterfactual_graph, select_edit,
                       train_bruteforce, train_fairedit)
 from .graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
-                    Sampled, SyntheticSpec, apply_edit, candidate_edits,
-                    flip_sensitive, load_edge_list, load_node_table,
-                    normalize_features, perturb_features, save_edge_list,
-                    split, synth_biased_graph, with_split)
+                    Sampled, SyntheticSpec, apply_edit, apply_edits,
+                    candidate_edits, flip_sensitive, load_edge_list,
+                    load_node_table, normalize_features, perturb_features,
+                    save_edge_list, split, synth_biased_graph, with_split)
 from .metrics import (FairnessReport, MetricUndefinedError,
                       counterfactual_unfairness, delta_eo, delta_sp,
                       evaluate, f1_score, instability)
 from .models import (ModelParams, NormalizedAdjacency, forward, init_params,
                      normalize_adjacency, predict, train, train_step)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    # autodiff
+    "Adam", "SGD", "ScoreMatrix", "Tensor", "backward",
+    # editing
+    "CandidateCapExceeded", "EditTrace", "EditTrainConfig",
+    "brute_force_select", "edge_sensitivity_scores",
+    "generate_counterfactual_graph", "select_edit", "train_bruteforce",
+    "train_fairedit",
+    # graph
+    "EdgeEdit", "EditKind", "Exhaustive", "Graph", "GraphError", "Sampled",
+    "SyntheticSpec", "apply_edit", "apply_edits", "candidate_edits",
+    "flip_sensitive", "load_edge_list", "load_node_table",
+    "normalize_features", "perturb_features", "save_edge_list", "split",
+    "synth_biased_graph", "with_split",
+    # metrics
+    "FairnessReport", "MetricUndefinedError", "counterfactual_unfairness",
+    "delta_eo", "delta_sp", "evaluate", "f1_score", "instability",
+    # models
+    "ModelParams", "NormalizedAdjacency", "forward", "init_params",
+    "normalize_adjacency", "predict", "train", "train_step",
+]

@@ -293,17 +293,13 @@ class ScoreMatrix:
 
     def __init__(self, graph, init_score: float = DEFAULT_INIT_SCORE):
         self.host = graph
-        self.edge_index = {e: i for i, e in enumerate(graph.edges)}
-        m = len(graph.edges)
+        m = len(graph.edge_array())
         self.scores = Tensor(np.full((m, 1), float(init_score)),
                              requires_grad=True)
         self.active = np.ones(m, dtype=bool)
 
     def rebinarize(self, threshold: float) -> None:
         self.active = _sigmoid(self.scores.values[:, 0]) > threshold
-
-    def score_of(self, u: int, v: int) -> float:
-        return float(self.scores.values[self.edge_index[(min(u, v), max(u, v))], 0])
 
 
 # ---------------------------------------------------------------------------

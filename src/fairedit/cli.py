@@ -205,19 +205,22 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
 # Experiment execution
 
 def _build_graph(cfg: ExperimentConfig, seed: int) -> Graph:
-    if cfg.synthetic is not None:
-        g = synth_biased_graph(cfg.synthetic)
-    else:
-        try:
+    """The experiment graph for one seed; every way the data can be unusable
+    (unreadable files, infeasible synthetic spec, too few nodes to split)
+    surfaces as DataError."""
+    try:
+        if cfg.synthetic is not None:
+            g = synth_biased_graph(cfg.synthetic)
+        else:
             feats, sens, labels, s_idx = load_node_table(
                 cfg.nodes_path, cfg.sensitive_col, cfg.label_col)
             edges = load_edge_list(cfg.edges_path, len(feats))
-        except (OSError, GraphError) as e:
-            raise DataError(str(e)) from e
-        g = Graph.build(feats, edges, sens, labels, s_idx)
-    tr, va, te = split(g.n, (0.5, 0.25, 0.25), g.labels, seed)
-    g = g.replace(train_mask=tr, val_mask=va, test_mask=te)
-    feats = normalize_features(g.features, g.train_mask, g.sensitive_col)
+            g = Graph.build(feats, edges, sens, labels, s_idx)
+        tr, va, te = split(g.n, (0.5, 0.25, 0.25), g.labels, seed)
+        g = g.replace(train_mask=tr, val_mask=va, test_mask=te)
+        feats = normalize_features(g.features, g.train_mask, g.sensitive_col)
+    except (OSError, GraphError) as e:
+        raise DataError(str(e)) from e
     return g.replace(features=feats)
 
 
@@ -364,18 +367,21 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     try:
         reports, aggregate, best, traces = run_experiment(cfg)
+        if cfg.out_path:
+            emit_report(reports, aggregate, cfg, traces, cfg.out_path, cfg.out_format)
+        else:
+            for rep in reports:
+                print(rep.to_dict())
+            print({"aggregate": aggregate, "grid_point": best})
     except CandidateCapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
     except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
-    if cfg.out_path:
-        emit_report(reports, aggregate, cfg, traces, cfg.out_path, cfg.out_format)
-    else:
-        for rep in reports:
-            print(rep.to_dict())
-        print({"aggregate": aggregate, "grid_point": best})
+    except ConfigError as e:
+        print(f"config error: {e}", file=sys.stderr)
+        return EXIT_CONFIG
     return EXIT_OK
 
 

@@ -10,7 +10,7 @@ from . import autodiff as ad
 from . import models
 from .autodiff import ScoreMatrix
 from .graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
-                    Sampled, apply_edit, candidate_edits)
+                    Sampled, apply_edit, apply_edits, candidate_edits)
 from .metrics import counterfactual_unfairness
 
 
@@ -98,10 +98,7 @@ def generate_counterfactual_graph(graph: Graph, rho: float, gamma: float,
     """Sample cross-group additions (prob rho) and intra-group deletions
     (prob gamma); returns the perturbed graph and the applied edit list."""
     edits = candidate_edits(graph, Sampled(rho, gamma, seed))
-    g = graph
-    for e in edits:
-        g = apply_edit(g, e)
-    return g, edits
+    return apply_edits(graph, edits), edits
 
 
 def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
@@ -113,17 +110,11 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
     mask, deleted edges from the original graph's mask.
 
     Returns (importance map, number of model forwards spent)."""
-    expected = set(graph.edges)
-    for e in edits:
-        if e.kind is EditKind.ADD:
-            if e.endpoints in expected:
-                raise GraphError(f"edit list inconsistent with graphs: {e}")
-            expected.add(e.endpoints)
-        else:
-            if e.endpoints not in expected:
-                raise GraphError(f"edit list inconsistent with graphs: {e}")
-            expected.remove(e.endpoints)
-    if expected != set(gstar.edges):
+    try:
+        expected = apply_edits(graph, edits)
+    except GraphError as e:
+        raise GraphError(f"edit list inconsistent with graphs: {e}") from e
+    if not np.array_equal(expected.keys, gstar.keys):
         raise GraphError("edit list does not map the graph onto its perturbation")
     if not edits:
         return {}, 0
@@ -163,15 +154,13 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
         for t, f in zip(tensors, flags):
             t.requires_grad = f
 
-    importance = {}
-    for e in edits:
-        if e.kind is EditKind.ADD:
-            idx = mask_s.edge_index[e.endpoints]
-            importance[e] = abs(float(grad_s[idx, 0]))
-        else:
-            idx = mask_g.edge_index[e.endpoints]
-            importance[e] = abs(float(grad_g[idx, 0]))
-    return importance, n_forwards
+    # a mask's score rows follow its host graph's edge rows
+    uv = np.array([e.endpoints for e in edits], dtype=np.int64)
+    add = np.array([e.kind is EditKind.ADD for e in edits])
+    importance = np.empty(len(edits))
+    importance[add] = np.abs(grad_s[gstar.edge_rows(uv[add, 0], uv[add, 1]), 0])
+    importance[~add] = np.abs(grad_g[graph.edge_rows(uv[~add, 0], uv[~add, 1]), 0])
+    return dict(zip(edits, importance.tolist())), n_forwards
 
 
 def select_edit(scores: dict) -> EdgeEdit:

@@ -7,6 +7,7 @@ concurrent experiment runs.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -60,13 +61,29 @@ class EdgeEdit:
         return EdgeEdit(kind, self.u, self.v)
 
 
+def _lookup(keys: np.ndarray, query: np.ndarray):
+    """Positions of `query` in the sorted array `keys`: (insertion positions,
+    whether each query key is present)."""
+    pos = np.searchsorted(keys, query)
+    found = pos < len(keys)
+    found[found] = keys[pos[found]] == query[found]
+    return pos, found
+
+
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
 @dataclass(frozen=True)
 class Graph:
     """Undirected graph with node features, a binary sensitive attribute and
-    binary labels. Edges are stored once as (u, v) with u < v."""
+    binary labels. Edges are stored once as (u, v) with u < v, as the rows of
+    a read-only (m, 2) int64 array in lexicographic order; the key u*n + v of
+    each row is then strictly increasing, so membership is a binary search."""
 
     features: np.ndarray          # (n, d) float64
-    edges: tuple                  # sorted tuple of (u, v), u < v
+    pairs: np.ndarray             # (m, 2) int64, read-only, lexsorted, u < v
     sensitive: np.ndarray         # (n,) in {0, 1}
     labels: np.ndarray            # (n,) in {0, 1}
     sensitive_col: int            # column of `features` holding the sensitive attribute
@@ -77,6 +94,8 @@ class Graph:
     @staticmethod
     def build(features, edges, sensitive, labels, sensitive_col,
               train_mask=None, val_mask=None, test_mask=None) -> "Graph":
+        """Validated graph from any iterable of node pairs (or an (m, 2)
+        integer array) in either orientation and any order."""
         features = np.asarray(features, dtype=np.float64)
         sensitive = np.asarray(sensitive, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
@@ -87,8 +106,20 @@ class Graph:
                 return np.zeros(n, dtype=bool)
             return np.asarray(m, dtype=bool)
 
-        edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
-        g = Graph(features, edges, sensitive, labels, int(sensitive_col),
+        if not isinstance(edges, np.ndarray):
+            edges = list(edges)
+        try:
+            e = np.asarray(edges, dtype=np.int64)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise GraphError("edges must be pairs of integer node ids") from exc
+        if e.size == 0:
+            e = e.reshape(0, 2)
+        if e.ndim != 2 or e.shape[1] != 2:
+            raise GraphError("edges must be pairs of integer node ids")
+        lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+        order = np.lexsort((hi, lo))
+        pairs = _readonly(np.stack([lo[order], hi[order]], axis=1))
+        g = Graph(features, pairs, sensitive, labels, int(sensitive_col),
                   _mask(train_mask), _mask(val_mask), _mask(test_mask))
         g.validate()
         return g
@@ -101,26 +132,46 @@ class Graph:
     def d(self) -> int:
         return self.features.shape[1]
 
+    def _cached(self, name: str, make):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = make()
+            object.__setattr__(self, name, value)
+        return value
+
+    @property
+    def keys(self) -> np.ndarray:
+        """u*n + v of every stored edge, strictly increasing (read-only)."""
+        return self._cached("_keys", lambda: _readonly(
+            self.pairs[:, 0] * self.n + self.pairs[:, 1]))
+
+    @property
+    def edges(self) -> tuple:
+        """The stored edges as a sorted tuple of (u, v) Python-int pairs.
+        Built on first use; the library itself works on `pairs` and `keys`."""
+        return self._cached("_edges", lambda: tuple(map(tuple, self.pairs.tolist())))
+
     @property
     def edge_set(self) -> frozenset:
-        es = self.__dict__.get("_edge_set")
-        if es is None:
-            es = frozenset(self.edges)
-            object.__setattr__(self, "_edge_set", es)
-        return es
+        return self._cached("_edge_set", lambda: frozenset(self.edges))
 
     def edge_array(self) -> np.ndarray:
-        if self.edges:
-            return np.array(self.edges, dtype=np.int64)
-        return np.zeros((0, 2), dtype=np.int64)
+        """The stored (m, 2) edge array itself (read-only)."""
+        return self.pairs
+
+    def edge_rows(self, u, v) -> np.ndarray:
+        """Row of each edge (u[i], v[i]), u < v, in `pairs`; GraphError if
+        one is not an edge of this graph."""
+        q = np.asarray(u, dtype=np.int64) * self.n + np.asarray(v, dtype=np.int64)
+        pos, found = _lookup(self.keys, q)
+        if not found.all():
+            i = int(np.flatnonzero(~found)[0])
+            raise GraphError(f"({q[i] // self.n}, {q[i] % self.n}) is not an edge")
+        return pos
 
     def degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n, dtype=np.int64)
-        ea = self.edge_array()
-        if len(ea):
-            deg += np.bincount(ea[:, 0], minlength=self.n)
-            deg += np.bincount(ea[:, 1], minlength=self.n)
-        return deg
+        return np.bincount(self.pairs.ravel(), minlength=self.n).astype(
+            np.int64, copy=False)
 
     def replace(self, **kw) -> "Graph":
         return dataclasses.replace(self, **kw)
@@ -129,28 +180,44 @@ class Graph:
         n = self.n
         if self.sensitive.shape != (n,) or self.labels.shape != (n,):
             raise GraphError("sensitive/labels length must equal node count")
-        if not np.isin(self.sensitive, (0, 1)).all():
+        if not ((self.sensitive == 0) | (self.sensitive == 1)).all():
             raise GraphError("sensitive attribute must be binary")
-        if not np.isin(self.labels, (0, 1)).all():
+        if not ((self.labels == 0) | (self.labels == 1)).all():
             raise GraphError("labels must be binary")
         if not (0 <= self.sensitive_col < self.d):
             raise GraphError("sensitive_col out of range")
-        seen = set()
-        for u, v in self.edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"edge ({u}, {v}) endpoint out of range")
-            if u == v:
-                raise GraphError(f"self-loop at node {u}")
-            if u > v:
-                raise GraphError(f"edge ({u}, {v}) not stored with u < v")
-            if (u, v) in seen:
-                raise GraphError(f"duplicate edge ({u}, {v})")
-            seen.add((u, v))
+        self._validate_pairs()
         overlap = (self.train_mask & self.val_mask) | \
                   (self.train_mask & self.test_mask) | \
                   (self.val_mask & self.test_mask)
         if overlap.any():
             raise GraphError("train/val/test masks overlap")
+
+    def _validate_pairs(self) -> None:
+        """Reports the first bad row in stored order, checking each row for
+        range, self-loop, orientation, then its order against the row before."""
+        p = self.pairs
+        if p.dtype != np.int64 or p.ndim != 2 or p.shape[1] != 2:
+            raise GraphError("edge array must be (m, 2) int64")
+        u, v = p[:, 0], p[:, 1]
+        n = self.n
+        same = np.zeros(len(p), dtype=bool)
+        before = np.zeros(len(p), dtype=bool)
+        same[1:] = (u[1:] == u[:-1]) & (v[1:] == v[:-1])
+        before[1:] = (u[1:] < u[:-1]) | ((u[1:] == u[:-1]) & (v[1:] < v[:-1]))
+        checks = (
+            ((u < 0) | (u >= n) | (v < 0) | (v >= n),
+             "edge ({u}, {v}) endpoint out of range"),
+            (u == v, "self-loop at node {u}"),
+            (u > v, "edge ({u}, {v}) not stored with u < v"),
+            (same, "duplicate edge ({u}, {v})"),
+            (before, "edge ({u}, {v}) stored out of lexicographic order"),
+        )
+        bad = np.logical_or.reduce([mask for mask, _ in checks])
+        if bad.any():
+            i = int(np.argmax(bad))
+            msg = next(msg for mask, msg in checks if mask[i])
+            raise GraphError(msg.format(u=int(u[i]), v=int(v[i])))
 
 
 # ---------------------------------------------------------------------------
@@ -160,7 +227,8 @@ def _detect_delimiter(header: str) -> str:
     return "\t" if header.count("\t") >= header.count(",") else ","
 
 
-def load_node_table(path, sensitive_col: str, label_col: str):
+def load_node_table(path, sensitive_col: str = "sensitive",
+                    label_col: str = "label"):
     """Load a delimited node table. Returns (features, sensitive, labels,
     sensitive_index) where sensitive_index locates the sensitive column inside
     the feature matrix (the sensitive column stays in the features; the label
@@ -186,9 +254,12 @@ def load_node_table(path, sensitive_col: str, label_col: str):
         if len(cells) != len(header):
             raise GraphError(f"{path}:{i}: expected {len(header)} cells, got {len(cells)}")
         try:
-            rows.append([float(c) for c in cells])
+            row = [float(c) for c in cells]
         except ValueError as e:
             raise GraphError(f"{path}:{i}: non-numeric cell") from e
+        if not all(map(math.isfinite, row)):
+            raise GraphError(f"{path}:{i}: non-finite cell")
+        rows.append(row)
     table = np.array(rows, dtype=np.float64)
 
     sensitive = table[:, s_idx]
@@ -256,7 +327,7 @@ def normalize_features(features: np.ndarray, train_mask: np.ndarray,
     return out
 
 
-def split(n: int, fractions, labels, seed: int, label_known=None):
+def split(n: int, fractions, labels, seed: int):
     """Label-stratified train/val/test masks, deterministic under seed."""
     fractions = tuple(float(f) for f in fractions)
     if len(fractions) != 3 or any(f <= 0 for f in fractions):
@@ -264,9 +335,7 @@ def split(n: int, fractions, labels, seed: int, label_known=None):
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise GraphError("fractions must sum to 1")
     labels = np.asarray(labels)
-    if label_known is None:
-        label_known = np.ones(n, dtype=bool)
-    labeled = np.flatnonzero(label_known)
+    labeled = np.arange(n)
     rng = np.random.default_rng(seed)
 
     # global targets by largest remainder
@@ -315,20 +384,65 @@ def split(n: int, fractions, labels, seed: int, label_known=None):
 # ---------------------------------------------------------------------------
 # Edits and views
 
+def _with_edges(graph: Graph, pairs: np.ndarray, keys: np.ndarray) -> Graph:
+    """`graph` with its edges replaced by the lexsorted `pairs`, whose keys
+    are `keys`."""
+    g = graph.replace(pairs=_readonly(pairs))
+    object.__setattr__(g, "_keys", _readonly(keys))
+    return g
+
+
 def apply_edit(graph: Graph, edit: EdgeEdit) -> Graph:
+    """One edge added or deleted: an O(m) insert into or delete from the
+    sorted edge array."""
     e = edit.endpoints
     if not (0 <= e[0] < graph.n and 0 <= e[1] < graph.n):
         raise GraphError(f"edit endpoint out of range: {e}")
-    present = e in graph.edge_set
+    k = e[0] * graph.n + e[1]
+    keys, p = graph.keys, graph.pairs
+    i = int(np.searchsorted(keys, k))
+    present = i < len(keys) and keys[i] == k
     if edit.kind is EditKind.ADD:
         if present:
             raise GraphError(f"Add of existing edge {e}")
-        edges = tuple(sorted(graph.edges + (e,)))
-    else:
-        if not present:
-            raise GraphError(f"Delete of missing edge {e}")
-        edges = tuple(x for x in graph.edges if x != e)
-    return graph.replace(edges=edges)
+        return _with_edges(graph, np.concatenate([p[:i], [e], p[i:]]),
+                           np.concatenate([keys[:i], [k], keys[i:]]))
+    if not present:
+        raise GraphError(f"Delete of missing edge {e}")
+    return _with_edges(graph, np.concatenate([p[:i], p[i + 1:]]),
+                       np.concatenate([keys[:i], keys[i + 1:]]))
+
+
+def apply_edits(graph: Graph, edits) -> Graph:
+    """Apply a batch of edits on distinct node pairs at once. The result
+    equals applying them one at a time with `apply_edit`; like it, the batch
+    is refused (GraphError, `graph` untouched) if an endpoint is out of range
+    or an edit adds an existing edge or deletes a missing one, and also if
+    two edits name the same pair."""
+    edits = list(edits)
+    if not edits:
+        return graph
+    uv = np.array([e.endpoints for e in edits], dtype=np.int64)
+    out = ((uv < 0) | (uv >= graph.n)).any(axis=1)
+    if out.any():
+        raise GraphError(f"edit endpoint out of range: {edits[int(np.argmax(out))].endpoints}")
+    add = np.array([e.kind is EditKind.ADD for e in edits])
+    q = uv[:, 0] * graph.n + uv[:, 1]
+    _, first = np.unique(q, return_index=True)
+    if len(first) < len(q):
+        seen = np.zeros(len(q), dtype=bool)
+        seen[first] = True
+        raise GraphError(f"repeated edit of pair {edits[int(np.argmin(seen))].endpoints}")
+    pos, present = _lookup(graph.keys, q)
+    clash = present == add
+    if clash.any():
+        e = edits[int(np.argmax(clash))]
+        what = "Add of existing" if e.kind is EditKind.ADD else "Delete of missing"
+        raise GraphError(f"{what} edge {e.endpoints}")
+    keep = np.ones(len(graph.keys), dtype=bool)
+    keep[pos[~add]] = False
+    keys = np.sort(np.concatenate([graph.keys[keep], q[add]]))
+    return _with_edges(graph, np.stack([keys // graph.n, keys % graph.n], axis=1), keys)
 
 
 def flip_sensitive(graph: Graph) -> Graph:
@@ -349,10 +463,9 @@ def perturb_features(graph: Graph, sigma: float, seed: int) -> Graph:
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Stack two graphs into one with no edges between the halves."""
-    off = a.n
-    edges = a.edges + tuple((u + off, v + off) for u, v in b.edges)
     return Graph.build(
-        np.vstack([a.features, b.features]), edges,
+        np.vstack([a.features, b.features]),
+        np.concatenate([a.pairs, b.pairs + a.n]),
         np.concatenate([a.sensitive, b.sensitive]),
         np.concatenate([a.labels, b.labels]),
         a.sensitive_col,
@@ -383,39 +496,31 @@ class Sampled:
 
 def candidate_edits(graph: Graph, policy) -> list[EdgeEdit]:
     if isinstance(policy, Exhaustive):
-        eset = graph.edge_set
-        out = []
-        for u in range(graph.n):
-            for v in range(u + 1, graph.n):
-                if (u, v) in eset:
-                    out.append(EdgeEdit.delete(u, v))
-                else:
-                    out.append(EdgeEdit.add(u, v))
-        return out
+        uu, vv = np.triu_indices(graph.n, k=1)
+        present = _lookup(graph.keys, uu * graph.n + vv)[1]
+        kinds = np.where(present, EditKind.DELETE, EditKind.ADD)
+        return [EdgeEdit(k, u, v) for k, u, v in
+                zip(kinds.tolist(), uu.tolist(), vv.tolist())]
     if isinstance(policy, Sampled):
         rng = np.random.default_rng(policy.seed)
         s = graph.sensitive
-        out = []
         # deletes over present intra-group edges, in stored edge order
-        intra = [(u, v) for u, v in graph.edges if s[u] == s[v]]
-        draws = rng.random(len(intra))
-        for (u, v), r in zip(intra, draws):
-            if r < policy.gamma:
-                out.append(EdgeEdit.delete(u, v))
-        # adds over absent cross-group pairs, lexicographic pair order
-        uu, vv = np.triu_indices(graph.n, k=1)
-        cross = s[uu] != s[vv]
-        uu, vv = uu[cross], vv[cross]
-        eset = graph.edge_set
-        absent = np.array([(int(u), int(v)) not in eset for u, v in zip(uu, vv)],
-                          dtype=bool) if len(uu) else np.zeros(0, dtype=bool)
-        uu, vv = uu[absent], vv[absent]
-        draws = rng.random(len(uu))
-        for u, v, r in zip(uu, vv, draws):
-            if r < policy.rho:
-                out.append(EdgeEdit.add(int(u), int(v)))
-        out.sort(key=lambda e: (e.u, e.v, e.sort_key[0]))
-        return out
+        p = graph.pairs
+        intra = p[s[p[:, 0]] == s[p[:, 1]]]
+        dels = intra[rng.random(len(intra)) < policy.gamma]
+        # adds over absent cross-group pairs, lexicographic pair order (the
+        # row-major order of the upper triangle)
+        cross = np.triu(s[:, None] != s[None, :], k=1)
+        cross[p[:, 0], p[:, 1]] = False
+        uu, vv = np.nonzero(cross)
+        take = rng.random(len(uu)) < policy.rho
+        adds = np.stack([uu[take], vv[take]], axis=1)
+        # one list in (u, v) order: a pair is never both a delete and an add
+        uv = np.concatenate([dels, adds])
+        kinds = np.repeat([EditKind.DELETE, EditKind.ADD], [len(dels), len(adds)])
+        order = np.lexsort((uv[:, 1], uv[:, 0]))
+        return [EdgeEdit(k, u, v) for k, (u, v) in
+                zip(kinds[order].tolist(), uv[order].tolist())]
     raise GraphError(f"unknown candidate policy {policy!r}")
 
 
@@ -477,7 +582,6 @@ def synth_biased_graph(spec: SyntheticSpec) -> Graph:
     pick_i = rng.choice(intra_pairs, size=m_intra, replace=False)
     pick_c = rng.choice(cross_pairs, size=m_cross, replace=False)
     pick = np.concatenate([pick_i, pick_c])
-    edges = tuple(sorted(zip(uu[pick].tolist(), vv[pick].tolist())))
 
     # the appended features carry only a weak label signal drowned in unit
     # noise; the dominant shortcut lives in the sensitive attribute and in the
@@ -486,7 +590,8 @@ def synth_biased_graph(spec: SyntheticSpec) -> Graph:
     feats[:, 0] = s
     feats[:, 1:] = rng.normal(loc=FEATURE_SIGNAL * y[:, None],
                               size=(n, spec.n_features))
-    return Graph.build(feats, edges, s, y, sensitive_col=0)
+    return Graph.build(feats, np.stack([uu[pick], vv[pick]], axis=1), s, y,
+                       sensitive_col=0)
 
 
 def with_split(graph: Graph, fractions=(0.5, 0.25, 0.25), seed: int = 0) -> Graph:

@@ -102,8 +102,6 @@ class FairnessReport:
             "metadata": dict(self.metadata),
         }
 
-    METRIC_ORDER = ("f1", "unfairness", "instability", "delta_sp", "delta_eo")
-
     def row(self) -> list[float]:
         return [self.f1, self.unfairness, self.instability,
                 self.delta_sp, self.delta_eo]

@@ -46,7 +46,6 @@ class NormalizedAdjacency:
         self.dst = np.concatenate([v, u])
         self.coef = np.concatenate([c, c])
         self.self_coef = 1.0 / (deg + 1.0)
-        self.deg = deg
         m = len(ea)
         self.score_idx = np.concatenate([np.arange(m), np.arange(m)])
         # neighbor-mean coefficients (no self loop): 1 / deg(dst)
@@ -105,7 +104,8 @@ def init_params(architecture: str, in_dim: int, hidden: int, depth: int,
 def _mask_kwargs(adj: NormalizedAdjacency, mask: ScoreMatrix | None) -> dict:
     if mask is None:
         return {}
-    if mask.host is not adj.host and mask.host.edges != adj.host.edges:
+    if mask.host is not adj.host and \
+            not np.array_equal(mask.host.keys, adj.host.keys):
         raise GraphError("score mask host does not match the adjacency's graph")
     return {
         "scores": mask.scores,

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -208,3 +212,49 @@ def test_main_loads_files(tmp_path):
                "--lr", "0.01", "--hidden", "4", "--depth", "2",
                "--seed", "0", "--out", str(out)])
     assert rc == EXIT_OK
+
+
+# ---------------------------------------------------------------------------
+# error contract: every bad input ends in one stderr line and its exit code
+
+def _tiny_class_files(tmp_path):
+    nodes = tmp_path / "nodes.csv"
+    rows = ["f1,sensitive,label"] + [f"{i}.0,{i % 2},{int(i < 2)}" for i in range(12)]
+    nodes.write_text("\n".join(rows) + "\n")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("0 1\n1 2\n")
+    return ["--nodes", str(nodes), "--edges", str(edges)]
+
+
+_TRAIN = ["--model", "gcn", "--method", "standard", "--lr", "0.01",
+          "--hidden", "4", "--depth", "2", "--k", "2", "--seed", "0"]
+
+
+_ERROR_CASES = [
+    ("infeasible synthetic spec",
+     lambda tmp: ["--synthetic", "n=10,homophily=0.9,edge_density=8,label_bias=0.5"],
+     EXIT_DATA, "data error: infeasible edge density"),
+    ("label class under 3 nodes", _tiny_class_files,
+     EXIT_DATA, "data error: label class 1 has fewer nodes than splits"),
+    ("missing node table",
+     lambda tmp: ["--nodes", str(tmp / "none.csv"), "--edges", str(tmp / "none.txt")],
+     EXIT_DATA, "data error: "),
+    ("unwritable --out",
+     lambda tmp: ["--synthetic", SYNTH, "--out", str(tmp / "no_dir" / "r.csv")],
+     EXIT_CONFIG, "config error: cannot write"),
+    ("no dataset", lambda tmp: [], EXIT_CONFIG, "config error: need --nodes"),
+]
+
+
+@pytest.mark.parametrize("case,args,code,prefix", _ERROR_CASES,
+                         ids=[c[0] for c in _ERROR_CASES])
+def test_main_error_contract(tmp_path, case, args, code, prefix):
+    import fairedit
+    env = {**os.environ, "PYTHONPATH": str(Path(fairedit.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fairedit.cli", *_TRAIN, *args(tmp_path)],
+        capture_output=True, text=True, env=env, timeout=120)
+    lines = proc.stderr.splitlines()
+    assert proc.returncode == code, (case, proc.stderr)
+    assert len(lines) == 1 and lines[0].startswith(prefix), (case, proc.stderr)
+    assert "Traceback" not in proc.stderr

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairedit.editing import generate_counterfactual_graph
 from fairedit.graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
-                            Sampled, SyntheticSpec, apply_edit,
+                            Sampled, SyntheticSpec, apply_edit, apply_edits,
                             candidate_edits, disjoint_union, flip_sensitive,
                             load_edge_list, load_node_table,
                             normalize_features, perturb_features,
@@ -53,6 +54,23 @@ def test_load_node_table_errors(tmp_path, body, msg):
     p = tmp_path / "nodes.csv"
     p.write_text(body)
     with pytest.raises(GraphError, match=msg):
+        load_node_table(p, "s", "label")
+
+
+def test_load_node_table_default_columns(tmp_path):
+    p = tmp_path / "nodes.csv"
+    p.write_text("a,sensitive,label\n1,0,1\n2,1,0\n")
+    feats, sens, labels, s_idx = load_node_table(p)
+    np.testing.assert_array_equal(sens, [0, 1])
+    np.testing.assert_array_equal(labels, [1, 0])
+    assert s_idx == 1
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN"])
+def test_load_node_table_rejects_non_finite(tmp_path, cell):
+    p = tmp_path / "nodes.csv"
+    p.write_text(f"a,s,label\n1,0,1\n{cell},1,0\n")
+    with pytest.raises(GraphError, match=rf"nodes\.csv:3: non-finite cell"):
         load_node_table(p, "s", "label")
 
 
@@ -368,3 +386,206 @@ def test_disjoint_union_structure(triangle_graph):
     assert u.n == 6
     assert len(u.edges) == 6
     assert (3, 4) in u.edge_set
+
+
+# ---------------------------------------------------------------------------
+# differential tests: the array-backed edge core against a pure-Python
+# reference, which is the tuple/set algorithm that core replaced
+
+def _ref_build_edges(edges, n):
+    edges = tuple(sorted((min(u, v), max(u, v)) for u, v in edges))
+    seen = set()
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"edge ({u}, {v}) endpoint out of range")
+        if u == v:
+            raise GraphError(f"self-loop at node {u}")
+        if (u, v) in seen:
+            raise GraphError(f"duplicate edge ({u}, {v})")
+        seen.add((u, v))
+    return edges
+
+
+def _ref_apply_edit(edges, n, edit):
+    e = edit.endpoints
+    if not (0 <= e[0] < n and 0 <= e[1] < n):
+        raise GraphError(f"edit endpoint out of range: {e}")
+    present = e in set(edges)
+    if edit.kind is EditKind.ADD:
+        if present:
+            raise GraphError(f"Add of existing edge {e}")
+        return tuple(sorted(edges + (e,)))
+    if not present:
+        raise GraphError(f"Delete of missing edge {e}")
+    return tuple(x for x in edges if x != e)
+
+
+def _ref_apply_edits(edges, n, edits):
+    """One edit at a time; a batch naming a pair twice is refused."""
+    pairs = [e.endpoints for e in edits]
+    if len(set(pairs)) < len(pairs):
+        raise GraphError("repeated pair")
+    for e in edits:
+        edges = _ref_apply_edit(edges, n, e)
+    return edges
+
+
+def _ref_sampled(edges, s, n, policy):
+    rng = np.random.default_rng(policy.seed)
+    out = []
+    intra = [(u, v) for u, v in edges if s[u] == s[v]]
+    for (u, v), r in zip(intra, rng.random(len(intra))):
+        if r < policy.gamma:
+            out.append(EdgeEdit.delete(u, v))
+    eset = set(edges)
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n)
+              if s[u] != s[v] and (u, v) not in eset]
+    for (u, v), r in zip(absent, rng.random(len(absent))):
+        if r < policy.rho:
+            out.append(EdgeEdit.add(u, v))
+    out.sort(key=lambda e: (e.u, e.v, e.sort_key[0]))
+    return out
+
+
+def _outcome(fn, *args):
+    """("ok", value) or ("error", message) of fn(*args)."""
+    try:
+        return "ok", fn(*args)
+    except GraphError as e:
+        return "error", str(e)
+
+
+def _build(n, edges, s):
+    s = np.asarray(s)
+    return Graph.build(s[:, None].astype(float), edges, s, np.zeros(n, int), 0)
+
+
+@st.composite
+def _graphs(draw, max_n=9):
+    n = draw(st.integers(2, max_n))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = [p for p, keep in zip(all_pairs, draw(st.lists(
+        st.booleans(), min_size=len(all_pairs), max_size=len(all_pairs)))) if keep]
+    s = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return _build(n, edges, s)
+
+
+def _assert_stored_array(g):
+    assert g.pairs.dtype == np.int64 and g.pairs.shape == (len(g.edges), 2)
+    assert not g.pairs.flags.writeable
+    assert (np.diff(g.keys) > 0).all()
+    np.testing.assert_array_equal(g.keys, g.pairs[:, 0] * g.n + g.pairs[:, 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_differential_build(data):
+    n = data.draw(st.integers(1, 8))
+    node = st.integers(-1, n)
+    raw = data.draw(st.lists(st.tuples(node, node), max_size=12))
+    want = _outcome(_ref_build_edges, raw, n)
+    got = _outcome(lambda: _build(n, raw, [0] * n).edges)
+    assert got == want
+    if got[0] == "ok":
+        _assert_stored_array(_build(n, raw, [0] * n))
+
+
+@pytest.mark.parametrize("edges,msg", [
+    ([(0, 1), (2, 1), (1, 0)], "duplicate edge (0, 1)"),
+    ([(0, 1), (2, 2)], "self-loop at node 2"),
+    ([(0, 1), (1, 3)], "edge (1, 3) endpoint out of range"),
+    ([(-1, 1)], "edge (-1, 1) endpoint out of range"),
+])
+def test_build_errors_match_reference(edges, msg):
+    assert _outcome(_ref_build_edges, edges, 3) == ("error", msg)
+    with pytest.raises(GraphError) as exc:
+        _build(3, edges, [0, 1, 0])
+    assert str(exc.value) == msg
+
+
+def test_build_rejects_non_pairs():
+    with pytest.raises(GraphError, match="pairs"):
+        _build(3, [(0, 1, 2)], [0, 1, 0])
+    with pytest.raises(GraphError, match="pairs"):
+        _build(3, [(0, 1), (1,)], [0, 1, 0])
+
+
+def test_validate_rejects_unsorted_array():
+    g = _build(3, [(0, 1), (1, 2)], [0, 1, 0])
+    bad = g.replace(pairs=np.array([[1, 2], [0, 1]], dtype=np.int64))
+    with pytest.raises(GraphError, match="out of lexicographic order"):
+        bad.validate()
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_graphs(), data=st.data())
+def test_differential_apply_edit(g, data):
+    node = st.integers(-1, g.n)
+    u, v = data.draw(st.tuples(node, node).filter(lambda p: p[0] != p[1]))
+    edit = EdgeEdit(data.draw(st.sampled_from(EditKind)), u, v)
+    want = _outcome(_ref_apply_edit, g.edges, g.n, edit)
+    got = _outcome(lambda: apply_edit(g, edit).edges)
+    assert got == want
+    if got[0] == "ok":
+        _assert_stored_array(apply_edit(g, edit))
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_graphs(), data=st.data())
+def test_differential_apply_edits(g, data):
+    # mostly valid edits, so that both accepted and rejected batches occur
+    pair = st.tuples(st.integers(0, g.n - 1), st.integers(0, g.n - 1)).filter(
+        lambda p: p[0] != p[1])
+    edits = []
+    for u, v in data.draw(st.lists(pair, max_size=8)):
+        present = (min(u, v), max(u, v)) in g.edge_set
+        valid = data.draw(st.integers(0, 9)) > 0
+        kind = EditKind.DELETE if present == valid else EditKind.ADD
+        edits.append(EdgeEdit(kind, u, v))
+    before = g.edges
+    want = _outcome(_ref_apply_edits, g.edges, g.n, edits)
+    got = _outcome(lambda: apply_edits(g, edits).edges)
+    assert got[0] == want[0]
+    if got[0] == "ok":
+        assert got == want
+        _assert_stored_array(apply_edits(g, edits))
+    assert g.edges == before
+
+
+def test_apply_edits_rejects_repeated_pair(triangle_graph):
+    # one at a time this pair of edits would cancel out; a batch refuses it
+    with pytest.raises(GraphError, match="repeated"):
+        apply_edits(triangle_graph, [EdgeEdit.delete(0, 1), EdgeEdit.add(1, 0)])
+    with pytest.raises(GraphError, match="out of range"):
+        apply_edits(triangle_graph, [EdgeEdit.add(0, 3)])
+    assert apply_edits(triangle_graph, []) is triangle_graph
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=_graphs(max_n=12), rho=st.floats(0, 1), gamma=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_differential_sampled_candidates(g, rho, gamma, seed):
+    policy = Sampled(rho, gamma, seed)
+    assert candidate_edits(g, policy) == _ref_sampled(g.edges, g.sensitive, g.n, policy)
+
+
+@settings(max_examples=100, deadline=None)
+@given(g=_graphs(max_n=12), rho=st.floats(0, 1), gamma=st.floats(0, 1),
+       seed=st.integers(0, 2**32 - 1))
+def test_differential_counterfactual_graph(g, rho, gamma, seed):
+    gstar, edits = generate_counterfactual_graph(g, rho, gamma, seed)
+    want = _ref_sampled(g.edges, g.sensitive, g.n, Sampled(rho, gamma, seed))
+    assert edits == want
+    expected = g.edges
+    for e in want:
+        expected = _ref_apply_edit(expected, g.n, e)
+    assert gstar.edges == expected
+    _assert_stored_array(gstar)
+
+
+@settings(max_examples=50, deadline=None)
+@given(g=_graphs())
+def test_differential_exhaustive_candidates(g):
+    want = [EdgeEdit.delete(u, v) if (u, v) in g.edge_set else EdgeEdit.add(u, v)
+            for u in range(g.n) for v in range(u + 1, g.n)]
+    assert candidate_edits(g, Exhaustive()) == want
