@@ -3,6 +3,8 @@ training methods, deterministic multi-seed fairness reports."""
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -15,7 +17,7 @@ from .editing import CandidateCapExceeded, EditTrainConfig, train_bruteforce, tr
 from .graph import (Graph, GraphError, SyntheticSpec, load_edge_list,
                     load_node_table, normalize_features, split,
                     synth_biased_graph)
-from .metrics import FairnessReport, evaluate, f1_score
+from .metrics import MetricUndefinedError, evaluate, f1_score
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -23,12 +25,8 @@ EXIT_DATA = 2
 EXIT_REFUSED = 3
 
 METHODS = ("standard", "bruteforce", "fairedit")
-
-DEFAULT_GRID = {
-    "lr": (1e-3, 1e-4, 1e-5),
-    "hidden": (16, 32),
-    "depth": (2, 3),
-}
+OPTIMIZERS = ("adam", "sgd")
+FORMATS = ("rows", "structured")
 
 
 class ConfigError(ValueError):
@@ -49,9 +47,9 @@ class ExperimentConfig:
     dataset_name: str = "dataset"
     model: str = "gcn"
     method: str = "standard"
-    lrs: tuple = DEFAULT_GRID["lr"]
-    hiddens: tuple = DEFAULT_GRID["hidden"]
-    depths: tuple = DEFAULT_GRID["depth"]
+    lrs: tuple = (1e-3, 1e-4, 1e-5)     # default grid: lr x hidden x depth
+    hiddens: tuple = (16, 32)
+    depths: tuple = (2, 3)
     optimizer: str = "adam"
     K: int = 1000
     seeds: tuple = (0,)
@@ -65,8 +63,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown model {self.model!r}")
         if self.method not in METHODS:
             raise ConfigError(f"unknown method {self.method!r}")
-        if self.optimizer not in ("adam", "sgd"):
+        if self.optimizer not in OPTIMIZERS:
             raise ConfigError(f"unknown optimizer {self.optimizer!r}")
+        if self.out_format not in FORMATS:
+            raise ConfigError(f"unknown format {self.out_format!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
         if self.K < 0:
@@ -76,19 +76,12 @@ class ExperimentConfig:
         try:
             self.edit.K = self.K
             # the default edit budget may exceed a short run; edits only
-            # happen in epochs k <= alpha anyway, so clamp
+            # happen in epochs k <= alpha anyway, so clamp (a negative alpha
+            # stays negative and fails edit.validate)
             self.edit.alpha = min(self.edit.alpha, self.K)
             self.edit.validate()
         except GraphError as e:
             raise ConfigError(str(e)) from e
-
-
-_CONFIG_KEYS = {
-    "nodes", "edges", "synthetic", "sensitive_col", "label_col", "dataset",
-    "model", "method", "lr", "hidden", "depth", "optimizer", "k", "seed",
-    "sigma", "out", "format", "alpha", "rho", "gamma", "mask_iters",
-    "mask_lr", "binarize_threshold", "eval_nodes", "candidate_cap",
-}
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
@@ -114,68 +107,59 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
     return spec
 
 
+def _comma_list(item):
+    """Parser for a comma-separated list of ``item`` values."""
+    return lambda text: tuple(item(x) for x in text.split(","))
+
+
+# The one list of config keys. Each row is key: (value parser, attribute path
+# on ExperimentConfig, help); it defines both the `key = value` config-file
+# key and the --key flag. Values are checked in ExperimentConfig.validate.
+_KEYS = {
+    "nodes": (str, "nodes_path", "node table path (delimited, header row)"),
+    "edges": (str, "edges_path", "edge list path ('u v' per line)"),
+    "synthetic": (_parse_synthetic, "synthetic",
+                  "inline synthetic spec, e.g. "
+                  "'n=400,homophily=0.9,edge_density=4,label_bias=0.8,seed=0'"),
+    "sensitive_col": (str, "sensitive_col", "node-table column of the sensitive attribute"),
+    "label_col": (str, "label_col", "node-table column of the label"),
+    "dataset": (str, "dataset_name", "dataset name used in report rows"),
+    "model": (str, "model", "GNN architecture: " + ", ".join(models.ARCHITECTURES)),
+    "method": (str, "method", "training method: " + ", ".join(METHODS)),
+    "lr": (_comma_list(float), "lrs", "comma-separated learning-rate grid"),
+    "hidden": (_comma_list(int), "hiddens", "comma-separated hidden-size grid"),
+    "depth": (_comma_list(int), "depths", "comma-separated depth grid"),
+    "optimizer": (str, "optimizer", "optimizer: " + ", ".join(OPTIMIZERS)),
+    "k": (int, "K", "training epochs"),
+    "seed": (_comma_list(int), "seeds", "comma-separated seed list"),
+    "sigma": (float, "sigma", "feature-noise scale of the instability metric"),
+    "out": (str, "out_path", "output report path"),
+    "format": (str, "out_format", "report format: " + ", ".join(FORMATS)),
+    "alpha": (int, "edit.alpha", "edit budget (clamped to k)"),
+    "rho": (float, "edit.rho", "cross-group add sampling probability"),
+    "gamma": (float, "edit.gamma", "intra-group delete sampling probability"),
+    "mask_iters": (int, "edit.mask_iters", "score-refinement iterations per edit"),
+    "mask_lr": (float, "edit.mask_lr", "score-refinement learning rate"),
+    "binarize_threshold": (float, "edit.binarize_threshold",
+                           "edge-mask binarization threshold in (0, 1)"),
+    "eval_nodes": (str, "edit.eval_nodes", "nodes that drive edit selection: train, val"),
+    "candidate_cap": (int, "edit.candidate_cap",
+                      "max node count for exhaustive enumeration"),
+}
+
+
 def _apply_kv(cfg: ExperimentConfig, key: str, value: str) -> None:
+    if key not in _KEYS:
+        raise ConfigError(f"unknown key {key!r}")
+    parse, path, _ = _KEYS[key]
     try:
-        if key == "nodes":
-            cfg.nodes_path = value
-        elif key == "edges":
-            cfg.edges_path = value
-        elif key == "synthetic":
-            cfg.synthetic = _parse_synthetic(value)
-        elif key == "sensitive_col":
-            cfg.sensitive_col = value
-        elif key == "label_col":
-            cfg.label_col = value
-        elif key == "dataset":
-            cfg.dataset_name = value
-        elif key == "model":
-            cfg.model = value
-        elif key == "method":
-            cfg.method = value
-        elif key == "lr":
-            cfg.lrs = tuple(float(x) for x in value.split(","))
-        elif key == "hidden":
-            cfg.hiddens = tuple(int(x) for x in value.split(","))
-        elif key == "depth":
-            cfg.depths = tuple(int(x) for x in value.split(","))
-        elif key == "optimizer":
-            cfg.optimizer = value
-        elif key == "k":
-            cfg.K = int(value)
-        elif key == "seed":
-            cfg.seeds = tuple(int(x) for x in value.split(","))
-        elif key == "sigma":
-            cfg.sigma = float(value)
-        elif key == "out":
-            cfg.out_path = value
-        elif key == "format":
-            if value not in ("rows", "structured"):
-                raise ConfigError(f"unknown format {value!r}")
-            cfg.out_format = value
-        elif key == "alpha":
-            cfg.edit.alpha = int(value)
-            if cfg.edit.alpha < 0:
-                raise ConfigError("alpha must be >= 0")
-        elif key == "rho":
-            cfg.edit.rho = float(value)
-        elif key == "gamma":
-            cfg.edit.gamma = float(value)
-        elif key == "mask_iters":
-            cfg.edit.mask_iters = int(value)
-        elif key == "mask_lr":
-            cfg.edit.mask_lr = float(value)
-        elif key == "binarize_threshold":
-            cfg.edit.binarize_threshold = float(value)
-        elif key == "eval_nodes":
-            cfg.edit.eval_nodes = value
-        elif key == "candidate_cap":
-            cfg.edit.candidate_cap = int(value)
-        else:
-            raise ConfigError(f"unknown config key {key!r}")
+        parsed = parse(value)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as e:
-        if isinstance(e, ConfigError):
-            raise
         raise ConfigError(f"bad value for {key!r}: {value!r}") from e
+    *owners, attr = path.split(".")
+    setattr(functools.reduce(getattr, owners, cfg), attr, parsed)
 
 
 def parse_config(path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
@@ -190,13 +174,13 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
                 if "=" not in ln:
                     raise ConfigError(f"{path}:{i}: expected key = value")
                 key, value = (x.strip() for x in ln.split("=", 1))
-                if key not in _CONFIG_KEYS:
-                    raise ConfigError(f"{path}:{i}: unknown key {key!r}")
-                _apply_kv(cfg, key, value)
+                try:
+                    _apply_kv(cfg, key, value)
+                except ConfigError as e:
+                    raise ConfigError(f"{path}:{i}: {e}") from e
     for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        _apply_kv(cfg, key, value)
+        if value is not None:
+            _apply_kv(cfg, key, value)
     cfg.validate()
     return cfg
 
@@ -224,14 +208,10 @@ def _build_graph(cfg: ExperimentConfig, seed: int) -> Graph:
     return g.replace(features=feats)
 
 
-def _make_optimizer(cfg: ExperimentConfig, lr: float):
-    return Adam(lr) if cfg.optimizer == "adam" else SGD(lr)
-
-
 def _train_one(cfg: ExperimentConfig, graph: Graph, lr: float, hidden: int,
                depth: int, seed: int):
     params = models.init_params(cfg.model, graph.d, hidden, depth, seed)
-    opt = _make_optimizer(cfg, lr)
+    opt = (Adam if cfg.optimizer == "adam" else SGD)(lr)
     edit_cfg = EditTrainConfig(**{**cfg.edit.__dict__, "K": cfg.K, "seed": seed})
     if cfg.method == "standard":
         models.train(params, graph, opt, cfg.K)
@@ -247,18 +227,16 @@ def run_experiment(cfg: ExperimentConfig):
 
     Returns (reports, aggregate, selected_grid_point, traces)."""
     cfg.validate()
+    # graphs are immutable, so every grid point shares each seed's graph
+    graphs = {seed: _build_graph(cfg, seed) for seed in cfg.seeds}
     runs = {}
-    for lr in cfg.lrs:
-        for hidden in cfg.hiddens:
-            for depth in cfg.depths:
-                key = (lr, hidden, depth)
-                runs[key] = []
-                for seed in cfg.seeds:
-                    g = _build_graph(cfg, seed)
-                    params, g_final, trace = _train_one(cfg, g, lr, hidden, depth, seed)
-                    pred = models.predict(models.forward(params, g_final))
-                    val_f1 = f1_score(pred, g_final.labels, g_final.val_mask)
-                    runs[key].append((seed, params, g_final, trace, val_f1))
+    for key in itertools.product(cfg.lrs, cfg.hiddens, cfg.depths):
+        runs[key] = []
+        for seed in cfg.seeds:
+            params, g_final, trace = _train_one(cfg, graphs[seed], *key, seed)
+            pred = models.predict(models.forward(params, g_final))
+            val_f1 = f1_score(pred, g_final.labels, g_final.val_mask)
+            runs[key].append((seed, params, g_final, trace, val_f1))
 
     best = max(runs, key=lambda k: (np.mean([r[4] for r in runs[k]]), -runs_order(k)))
     reports, traces = [], {}
@@ -323,45 +301,28 @@ def emit_report(reports, aggregate, cfg: ExperimentConfig, traces,
 # ---------------------------------------------------------------------------
 # Entry point
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):
+        # a usage error is a config error: one line, exit 1 (not argparse's
+        # usage dump and exit 2, which means a data error here)
+        raise ConfigError(message)
+
+
 def build_arg_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _ArgumentParser(
         prog="fairedit",
         description="Train GNN node classifiers with fairness-driven edge "
                     "editing and report predictive and fairness metrics.")
-    p.add_argument("--nodes", help="node table path (delimited, header row)")
-    p.add_argument("--edges", help="edge list path ('u v' per line)")
-    p.add_argument("--synthetic",
-                   help="inline synthetic spec, e.g. "
-                        "'n=400,homophily=0.9,edge_density=4,label_bias=0.8,seed=0'")
-    p.add_argument("--model", choices=models.ARCHITECTURES)
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--seed", help="comma-separated seed list")
-    p.add_argument("--out", help="output report path")
-    p.add_argument("--candidate-cap", dest="candidate_cap",
-                   help="max node count for exhaustive enumeration")
-    p.add_argument("--format", choices=("rows", "structured"))
-    p.add_argument("--lr", help="comma-separated learning-rate grid")
-    p.add_argument("--hidden", help="comma-separated hidden-size grid")
-    p.add_argument("--depth", help="comma-separated depth grid")
-    p.add_argument("--k", help="training epochs")
-    p.add_argument("--alpha", help="edit budget")
-    p.add_argument("--dataset", help="dataset name used in report rows")
+    p.add_argument("--config", help="flat key = value config file; flags override it")
+    for key, (_, _, help_text) in _KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), dest=key, help=help_text)
     return p
 
 
 def main(argv=None) -> int:
-    args = build_arg_parser().parse_args(argv)
-    overrides = {
-        "nodes": args.nodes, "edges": args.edges, "synthetic": args.synthetic,
-        "model": args.model, "method": args.method, "seed": args.seed,
-        "out": args.out, "candidate_cap": args.candidate_cap,
-        "format": args.format, "lr": args.lr, "hidden": args.hidden,
-        "depth": args.depth, "k": args.k, "alpha": args.alpha,
-        "dataset": args.dataset,
-    }
     try:
-        cfg = parse_config(args.config, overrides)
+        flags = vars(build_arg_parser().parse_args(argv))
+        cfg = parse_config(flags.pop("config"), flags)
     except (ConfigError, OSError) as e:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_CONFIG
@@ -376,7 +337,7 @@ def main(argv=None) -> int:
     except CandidateCapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
-    except DataError as e:
+    except (DataError, MetricUndefinedError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as e:

@@ -7,9 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fairedit.cli import (EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_REFUSED,
+from fairedit.cli import (_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_REFUSED,
                           ConfigError, DataError, ExperimentConfig,
-                          emit_report, main, parse_config, run_experiment)
+                          build_arg_parser, emit_report, main, parse_config,
+                          run_experiment)
 
 SYNTH = "n=80,homophily=0.7,edge_density=3,label_bias=0.5,seed=0"
 
@@ -71,6 +72,40 @@ def test_parse_type_mismatch():
 def test_parse_requires_dataset():
     with pytest.raises(ConfigError, match="--nodes"):
         parse_config(None, {"model": "gcn"})
+
+
+# one valid, non-default value per config key
+_KEY_SAMPLES = {
+    "nodes": "n.csv", "edges": "e.txt",
+    "synthetic": "n=90,homophily=0.8,edge_density=3,label_bias=0.5,seed=1",
+    "sensitive_col": "s", "label_col": "y", "dataset": "d", "model": "sage",
+    "method": "fairedit", "lr": "0.1,0.2", "hidden": "4,8", "depth": "1,2",
+    "optimizer": "sgd", "k": "50", "seed": "3,4", "sigma": "0.2",
+    "out": "r.csv", "format": "structured", "alpha": "3", "rho": "0.5",
+    "gamma": "0.5", "mask_iters": "2", "mask_lr": "0.1",
+    "binarize_threshold": "0.3", "eval_nodes": "val", "candidate_cap": "7",
+}
+
+
+@pytest.mark.parametrize("key", list(_KEYS))
+def test_config_key_file_and_flag_agree(tmp_path, key):
+    value = _KEY_SAMPLES[key]
+    base = tmp_path / "base.cfg"
+    base.write_text(f"synthetic = {SYNTH}\n")
+    by_file = tmp_path / "key.cfg"
+    by_file.write_text(f"synthetic = {SYNTH}\n{key} = {value}\n")
+    flags = vars(build_arg_parser().parse_args(
+        ["--config", str(base), "--" + key.replace("_", "-"), value]))
+    from_flag = parse_config(flags.pop("config"), flags)
+    from_file = parse_config(str(by_file))
+    assert from_file == from_flag
+    assert from_file != parse_config(str(base))
+
+
+@pytest.mark.parametrize("key", [k for k, row in _KEYS.items() if row[0] is not str])
+def test_config_key_bad_value(key):
+    with pytest.raises(ConfigError, match="bad value for"):
+        parse_config(None, {"synthetic": SYNTH, key: "n=x"})
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +249,30 @@ def test_main_loads_files(tmp_path):
     assert rc == EXIT_OK
 
 
+def test_main_loads_each_seed_graph_once(tmp_path, monkeypatch):
+    import fairedit.cli
+    from fairedit.graph import load_node_table
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return load_node_table(*args)
+
+    monkeypatch.setattr(fairedit.cli, "load_node_table", counting)
+    nodes = tmp_path / "nodes.csv"
+    rng = np.random.default_rng(0)
+    nodes.write_text("f1,sensitive,label\n" + "".join(
+        f"{rng.normal():.4f},{i % 2},{(i // 2) % 2}\n" for i in range(60)))
+    edges = tmp_path / "edges.txt"
+    edges.write_text("".join(f"{i} {(i + 1) % 60}\n" for i in range(60)))
+    rc = main(["--nodes", str(nodes), "--edges", str(edges),
+               "--model", "gcn", "--method", "standard", "--k", "2",
+               "--lr", "0.01,0.001", "--hidden", "4", "--depth", "2",
+               "--seed", "0,1", "--out", str(tmp_path / "r.csv")])
+    assert rc == EXIT_OK
+    assert len(calls) == 2
+
+
 # ---------------------------------------------------------------------------
 # error contract: every bad input ends in one stderr line and its exit code
 
@@ -243,6 +302,13 @@ _ERROR_CASES = [
      lambda tmp: ["--synthetic", SYNTH, "--out", str(tmp / "no_dir" / "r.csv")],
      EXIT_CONFIG, "config error: cannot write"),
     ("no dataset", lambda tmp: [], EXIT_CONFIG, "config error: need --nodes"),
+    ("unknown flag", lambda tmp: ["--synthetic", SYNTH, "--bogus", "1"],
+     EXIT_CONFIG, "config error: unrecognized arguments: --bogus 1"),
+    ("unknown model", lambda tmp: ["--synthetic", SYNTH, "--model", "bogus"],
+     EXIT_CONFIG, "config error: unknown model 'bogus'"),
+    ("undefined fairness metric",
+     lambda tmp: ["--synthetic", "n=80,homophily=0.7,edge_density=3,label_bias=1.0"],
+     EXIT_DATA, "data error: delta_eo"),
 ]
 
 
