@@ -1,6 +1,6 @@
 """Fairness-aware GNN training via edge editing."""
 
-from .autodiff import Adam, ScoreMatrix, SGD, Tensor, backward
+from .autodiff import Adam, SGD, Tensor, backward
 from .editing import (CandidateCapExceeded, EditTrace, EditTrainConfig,
                       brute_force_select, edge_sensitivity_scores,
                       generate_counterfactual_graph, select_edit,
@@ -13,12 +13,13 @@ from .graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
 from .metrics import (FairnessReport, MetricUndefinedError,
                       counterfactual_unfairness, delta_eo, delta_sp,
                       evaluate, f1_score, instability)
-from .models import (ModelParams, NormalizedAdjacency, forward, init_params,
-                     normalize_adjacency, predict, train, train_step)
+from .models import (ModelParams, NormalizedAdjacency, ScoreMatrix, forward,
+                     init_params, normalize_adjacency, predict, train,
+                     train_step)
 
 __all__ = [
     # autodiff
-    "Adam", "SGD", "ScoreMatrix", "Tensor", "backward",
+    "Adam", "SGD", "Tensor", "backward",
     # editing
     "CandidateCapExceeded", "EditTrace", "EditTrainConfig",
     "brute_force_select", "edge_sensitivity_scores",
@@ -34,6 +35,6 @@ __all__ = [
     "FairnessReport", "MetricUndefinedError", "counterfactual_unfairness",
     "delta_eo", "delta_sp", "evaluate", "f1_score", "instability",
     # models
-    "ModelParams", "NormalizedAdjacency", "forward", "init_params",
-    "normalize_adjacency", "predict", "train", "train_step",
+    "ModelParams", "NormalizedAdjacency", "ScoreMatrix", "forward",
+    "init_params", "normalize_adjacency", "predict", "train", "train_step",
 ]

@@ -4,11 +4,10 @@ Each Tensor records its parents plus a closure that maps the output adjoint to
 parent adjoints. `backward` walks the tape in reverse topological order and
 accumulates gradients into every tensor that requires them. The op set is
 exactly what the GNN models and the edge-mask scoring need; no broadcasting
-beyond the row-bias case.
+beyond the row-bias case. The engine knows nothing about graphs: edge
+aggregation takes plain index and coefficient arrays.
 """
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -277,29 +276,6 @@ def edge_aggregate(h: Tensor, src, dst, coef, self_coef=None,
             np.add.at(gs[:, 0], score_idx, ds)
         return (gh, gs)
     return _op(out, parents, back)
-
-
-# ---------------------------------------------------------------------------
-# Edge score mask
-
-SATURATING_SCORE = 50.0
-DEFAULT_INIT_SCORE = math.log(0.95 / 0.05)   # sigmoid ~= 0.95
-
-
-class ScoreMatrix:
-    """One learnable score per edge of a host graph. The masked adjacency
-    multiplies each edge coefficient by sigmoid(score); `active` carries the
-    binarized presence state used during score refinement."""
-
-    def __init__(self, graph, init_score: float = DEFAULT_INIT_SCORE):
-        self.host = graph
-        m = len(graph.edge_array())
-        self.scores = Tensor(np.full((m, 1), float(init_score)),
-                             requires_grad=True)
-        self.active = np.ones(m, dtype=bool)
-
-    def rebinarize(self, threshold: float) -> None:
-        self.active = _sigmoid(self.scores.values[:, 0]) > threshold
 
 
 # ---------------------------------------------------------------------------

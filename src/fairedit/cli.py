@@ -6,7 +6,9 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
+import typing
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -17,7 +19,7 @@ from .editing import CandidateCapExceeded, EditTrainConfig, train_bruteforce, tr
 from .graph import (Graph, GraphError, SyntheticSpec, load_edge_list,
                     load_node_table, normalize_features, split,
                     synth_biased_graph)
-from .metrics import MetricUndefinedError, evaluate, f1_score
+from .metrics import MetricUndefinedError, delta_eo, delta_sp, evaluate, f1_score
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -71,6 +73,14 @@ class ExperimentConfig:
             raise ConfigError("need at least one seed")
         if self.K < 0:
             raise ConfigError("K must be >= 0")
+        if not all(math.isfinite(lr) and lr > 0 for lr in self.lrs):
+            raise ConfigError("lr must be positive and finite")
+        if not all(h >= 1 for h in self.hiddens):
+            raise ConfigError("hidden must be >= 1")
+        if not all(d >= 1 for d in self.depths):
+            raise ConfigError("depth must be >= 1")
+        if not (math.isfinite(self.sigma) and self.sigma >= 0):
+            raise ConfigError("sigma must be finite and >= 0")
         if self.synthetic is None and (self.nodes_path is None or self.edges_path is None):
             raise ConfigError("need --nodes and --edges, or --synthetic")
         try:
@@ -85,6 +95,7 @@ class ExperimentConfig:
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
+    types = typing.get_type_hints(SyntheticSpec)
     kw = {}
     for item in text.split(","):
         if not item.strip():
@@ -93,12 +104,9 @@ def _parse_synthetic(text: str) -> SyntheticSpec:
             raise ConfigError(f"bad synthetic spec item {item!r}")
         k, v = item.split("=", 1)
         k = k.strip()
-        if k in ("n", "seed", "n_features"):
-            kw[k] = int(v)
-        elif k in ("homophily", "edge_density", "label_bias", "groups"):
-            kw[k] = float(v)
-        else:
+        if k not in types:
             raise ConfigError(f"unknown synthetic spec key {k!r}")
+        kw[k] = types[k](v)
     try:
         spec = SyntheticSpec(**kw)
         spec.validate()
@@ -142,7 +150,9 @@ _KEYS = {
     "mask_lr": (float, "edit.mask_lr", "score-refinement learning rate"),
     "binarize_threshold": (float, "edit.binarize_threshold",
                            "edge-mask binarization threshold in (0, 1)"),
-    "eval_nodes": (str, "edit.eval_nodes", "nodes that drive edit selection: train, val"),
+    "eval_nodes": (str, "edit.eval_nodes",
+                   "nodes that drive brute-force edit selection: train, val "
+                   "(fairedit's mask loss covers all nodes and ignores it)"),
     "candidate_cap": (int, "edit.candidate_cap",
                       "max node count for exhaustive enumeration"),
 }
@@ -190,8 +200,9 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
 
 def _build_graph(cfg: ExperimentConfig, seed: int) -> Graph:
     """The experiment graph for one seed; every way the data can be unusable
-    (unreadable files, infeasible synthetic spec, too few nodes to split)
-    surfaces as DataError."""
+    (unreadable files, infeasible synthetic spec, too few nodes to split, a
+    test split on which Delta_SP or Delta_EO is undefined) surfaces as
+    DataError, before any training."""
     try:
         if cfg.synthetic is not None:
             g = synth_biased_graph(cfg.synthetic)
@@ -203,7 +214,11 @@ def _build_graph(cfg: ExperimentConfig, seed: int) -> Graph:
         tr, va, te = split(g.n, (0.5, 0.25, 0.25), g.labels, seed)
         g = g.replace(train_mask=tr, val_mask=va, test_mask=te)
         feats = normalize_features(g.features, g.train_mask, g.sensitive_col)
-    except (OSError, GraphError) as e:
+        # whether the group gaps are defined depends on the test split's
+        # labels and groups only, not on the predictions
+        delta_sp(g.labels, g.sensitive, te)
+        delta_eo(g.labels, g.labels, g.sensitive, te)
+    except (OSError, GraphError, MetricUndefinedError) as e:
         raise DataError(str(e)) from e
     return g.replace(features=feats)
 
@@ -238,7 +253,7 @@ def run_experiment(cfg: ExperimentConfig):
             val_f1 = f1_score(pred, g_final.labels, g_final.val_mask)
             runs[key].append((seed, params, g_final, trace, val_f1))
 
-    best = max(runs, key=lambda k: (np.mean([r[4] for r in runs[k]]), -runs_order(k)))
+    best = select_grid_point({k: np.mean([r[4] for r in rs]) for k, rs in runs.items()})
     reports, traces = [], {}
     for seed, params, g_final, trace, _ in runs[best]:
         rep = evaluate(params, g_final, sigma=cfg.sigma, seed=seed,
@@ -257,11 +272,10 @@ def run_experiment(cfg: ExperimentConfig):
     return reports, aggregate, best, traces
 
 
-def runs_order(key) -> float:
-    # deterministic tiebreak for grid selection: prefer larger lr, then
-    # smaller hidden/depth, encoded as a single scalar
-    lr, hidden, depth = key
-    return -lr * 1e9 + hidden * 10 + depth
+def select_grid_point(val_f1: dict) -> tuple:
+    """The (lr, hidden, depth) key with the highest mean validation F1; ties
+    prefer the larger lr, then the smaller hidden size, then the smaller depth."""
+    return max(val_f1, key=lambda k: (val_f1[k], k[0], -k[1], -k[2]))
 
 
 def emit_report(reports, aggregate, cfg: ExperimentConfig, traces,
@@ -337,7 +351,7 @@ def main(argv=None) -> int:
     except CandidateCapExceeded as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED
-    except (DataError, MetricUndefinedError) as e:
+    except DataError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA
     except ConfigError as e:

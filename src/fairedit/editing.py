@@ -8,7 +8,6 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models
-from .autodiff import ScoreMatrix
 from .graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
                     Sampled, apply_edit, apply_edits, candidate_edits)
 from .metrics import counterfactual_unfairness
@@ -27,7 +26,9 @@ class EditTrainConfig:
     mask_iters: int = 5             # score-refinement iterations
     mask_lr: float = 0.01
     binarize_threshold: float = 0.5
-    eval_nodes: str = "train"       # which mask feeds edit selection: "train" | "val"
+    # nodes whose counterfactual unfairness drives brute-force selection:
+    # "train" | "val". FairEdit ignores it: its mask loss covers all nodes.
+    eval_nodes: str = "train"
     seed: int = 0
     candidate_cap: int = 500        # max node count for exhaustive enumeration
 
@@ -119,8 +120,8 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
     if not edits:
         return {}, 0
 
-    mask_g = ScoreMatrix(graph)
-    mask_s = ScoreMatrix(gstar)
+    mask_g = models.ScoreMatrix(graph)
+    mask_s = models.ScoreMatrix(gstar)
     adj_g = models.NormalizedAdjacency(graph)
     adj_s = models.NormalizedAdjacency(gstar)
 
@@ -137,19 +138,10 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
             out_g = models.forward(params, graph, mask=mask_g, adj=adj_g)
             out_s = models.forward(params, gstar, mask=mask_s, adj=adj_s)
             n_forwards += 2
-            loss = ad.l1_diff(out_g, out_s)
-            ad.backward(loss)
-            grad_g = mask_g.scores.grad if mask_g.scores.grad is not None \
-                else np.zeros_like(grad_g)
-            grad_s = mask_s.scores.grad if mask_s.scores.grad is not None \
-                else np.zeros_like(grad_s)
+            ad.backward(ad.l1_diff(out_g, out_s))
             # gradient ascent on the gap, then binarize for the next forward
-            mask_g.scores.values += mask_lr * grad_g
-            mask_s.scores.values += mask_lr * grad_s
-            mask_g.scores.zero_grad()
-            mask_s.scores.zero_grad()
-            mask_g.rebinarize(binarize_threshold)
-            mask_s.rebinarize(binarize_threshold)
+            grad_g = mask_g.ascend(mask_lr, binarize_threshold)
+            grad_s = mask_s.ascend(mask_lr, binarize_threshold)
     finally:
         for t, f in zip(tensors, flags):
             t.requires_grad = f

@@ -327,6 +327,17 @@ def normalize_features(features: np.ndarray, train_mask: np.ndarray,
     return out
 
 
+def _largest_remainder(fractions, total: int) -> list[int]:
+    """Integer shares of `total` in proportion to `fractions`: floors, plus
+    one for each of the largest fractional remainders."""
+    quota = [f * total for f in fractions]
+    shares = [int(q) for q in quota]
+    order = sorted(range(len(quota)), key=lambda i: quota[i] - shares[i], reverse=True)
+    for i in order[:total - sum(shares)]:
+        shares[i] += 1
+    return shares
+
+
 def split(n: int, fractions, labels, seed: int):
     """Label-stratified train/val/test masks, deterministic under seed."""
     fractions = tuple(float(f) for f in fractions)
@@ -338,14 +349,7 @@ def split(n: int, fractions, labels, seed: int):
     labeled = np.arange(n)
     rng = np.random.default_rng(seed)
 
-    # global targets by largest remainder
-    total = len(labeled)
-    quota = [f * total for f in fractions]
-    targets = [int(q) for q in quota]
-    rem = total - sum(targets)
-    order = sorted(range(3), key=lambda i: quota[i] - targets[i], reverse=True)
-    for i in order[:rem]:
-        targets[i] += 1
+    targets = _largest_remainder(fractions, len(labeled))
 
     masks = [np.zeros(n, dtype=bool) for _ in range(3)]
     per_class = []
@@ -354,13 +358,7 @@ def split(n: int, fractions, labels, seed: int):
         if len(idx) < 3:
             raise GraphError(f"label class {c} has fewer nodes than splits")
         idx = rng.permutation(idx)
-        q = [f * len(idx) for f in fractions]
-        alloc = [int(x) for x in q]
-        r = len(idx) - sum(alloc)
-        o = sorted(range(3), key=lambda i: q[i] - alloc[i], reverse=True)
-        for i in o[:r]:
-            alloc[i] += 1
-        per_class.append((idx, alloc))
+        per_class.append((idx, _largest_remainder(fractions, len(idx))))
 
     # rebalance: move single nodes between splits until global sizes match targets
     sizes = [sum(a[i] for _, a in per_class) for i in range(3)]

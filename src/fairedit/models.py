@@ -1,17 +1,19 @@
-"""GCN, GraphSAGE and APPNP forward passes plus one optimizer training step.
+"""GCN, GraphSAGE and APPNP forward passes, the sigmoid edge-score mask they
+can run through, and one optimizer training step.
 
-Forward passes are pure functions of (params, graph[, mask]). A module-level
-counter tracks how many model forwards have run, which the editing algorithms
-use to assert their per-epoch evaluation budgets.
+`forward` is the one entry point: a pure function of (params, graph[, mask]).
+A module-level counter tracks how many model forwards have run, which the
+editing algorithms use to assert their per-epoch evaluation budgets.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ScoreMatrix, Tensor
+from .autodiff import Tensor
 from .graph import Graph, GraphError
 
 ARCHITECTURES = ("gcn", "sage", "appnp")
@@ -24,11 +26,6 @@ def reset_forward_calls() -> int:
     old = FORWARD_CALLS
     FORWARD_CALLS = 0
     return old
-
-
-def _count_forward():
-    global FORWARD_CALLS
-    FORWARD_CALLS += 1
 
 
 class NormalizedAdjacency:
@@ -55,6 +52,37 @@ class NormalizedAdjacency:
 
 def normalize_adjacency(graph: Graph) -> NormalizedAdjacency:
     return NormalizedAdjacency(graph)
+
+
+SATURATING_SCORE = 50.0
+DEFAULT_INIT_SCORE = math.log(0.95 / 0.05)   # sigmoid ~= 0.95
+
+
+class ScoreMatrix:
+    """One learnable score per edge of a host graph. The masked adjacency
+    multiplies each edge coefficient by sigmoid(score); `active` carries the
+    binarized presence state used during score refinement."""
+
+    def __init__(self, graph: Graph, init_score: float = DEFAULT_INIT_SCORE):
+        self.host = graph
+        m = len(graph.edge_array())
+        self.scores = Tensor(np.full((m, 1), float(init_score)),
+                             requires_grad=True)
+        self.active = np.ones(m, dtype=bool)
+
+    def rebinarize(self, threshold: float) -> None:
+        self.active = ad._sigmoid(self.scores.values[:, 0]) > threshold
+
+    def ascend(self, lr: float, threshold: float) -> np.ndarray:
+        """One refinement step: move the scores by lr times their gradient
+        (zero if no gradient reached them), clear the gradient and
+        rebinarize. Returns the gradient used."""
+        grad = self.scores.grad if self.scores.grad is not None \
+            else np.zeros_like(self.scores.values)
+        self.scores.values += lr * grad
+        self.scores.zero_grad()
+        self.rebinarize(threshold)
+        return grad
 
 
 @dataclass
@@ -101,27 +129,11 @@ def init_params(architecture: str, in_dim: int, hidden: int, depth: int,
     return ModelParams(architecture, weights, biases, tau, power_iters)
 
 
-def _mask_kwargs(adj: NormalizedAdjacency, mask: ScoreMatrix | None) -> dict:
-    if mask is None:
-        return {}
-    if mask.host is not adj.host and \
-            not np.array_equal(mask.host.keys, adj.host.keys):
-        raise GraphError("score mask host does not match the adjacency's graph")
-    return {
-        "scores": mask.scores,
-        "score_idx": adj.score_idx,
-        "active": mask.active[adj.score_idx] if len(adj.score_idx) else None,
-    }
+def _same_graph(a: Graph, b: Graph) -> bool:
+    return a is b or (a.n == b.n and np.array_equal(a.keys, b.keys))
 
 
-def gcn_forward(params: ModelParams, graph: Graph,
-                mask: ScoreMatrix | None = None,
-                adj: NormalizedAdjacency | None = None) -> Tensor:
-    _count_forward()
-    if adj is None:
-        adj = NormalizedAdjacency(graph)
-    mk = _mask_kwargs(adj, mask)
-    h = Tensor(graph.features)
+def _gcn(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = ad.edge_aggregate(h, adj.src, adj.dst, adj.coef,
@@ -132,14 +144,7 @@ def gcn_forward(params: ModelParams, graph: Graph,
     return h
 
 
-def sage_forward(params: ModelParams, graph: Graph,
-                 mask: ScoreMatrix | None = None,
-                 adj: NormalizedAdjacency | None = None) -> Tensor:
-    _count_forward()
-    if adj is None:
-        adj = NormalizedAdjacency(graph)
-    mk = _mask_kwargs(adj, mask)
-    h = Tensor(graph.features)
+def _sage(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         nb = ad.edge_aggregate(h, adj.src, adj.dst, adj.mean_coef,
@@ -150,14 +155,7 @@ def sage_forward(params: ModelParams, graph: Graph,
     return h
 
 
-def appnp_forward(params: ModelParams, graph: Graph,
-                  mask: ScoreMatrix | None = None,
-                  adj: NormalizedAdjacency | None = None) -> Tensor:
-    _count_forward()
-    if adj is None:
-        adj = NormalizedAdjacency(graph)
-    mk = _mask_kwargs(adj, mask)
-    h = Tensor(graph.features)
+def _appnp(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = ad.add(ad.matmul(h, w), b)
@@ -171,13 +169,28 @@ def appnp_forward(params: ModelParams, graph: Graph,
     return z
 
 
-_FORWARDS = {"gcn": gcn_forward, "sage": sage_forward, "appnp": appnp_forward}
+_LAYERS = {"gcn": _gcn, "sage": _sage, "appnp": _appnp}
 
 
 def forward(params: ModelParams, graph: Graph,
             mask: ScoreMatrix | None = None,
             adj: NormalizedAdjacency | None = None) -> Tensor:
-    return _FORWARDS[params.architecture](params, graph, mask=mask, adj=adj)
+    """Logits of the model on `graph`, optionally through an edge-score mask
+    of the same graph. `adj` is reused when given; it must belong to `graph`.
+    Every call counts one model forward in FORWARD_CALLS."""
+    global FORWARD_CALLS
+    FORWARD_CALLS += 1
+    if adj is None:
+        adj = NormalizedAdjacency(graph)
+    elif not _same_graph(adj.host, graph):
+        raise GraphError("adjacency was built from a different graph")
+    mk = {}
+    if mask is not None:
+        if not _same_graph(mask.host, graph):
+            raise GraphError("score mask host does not match the adjacency's graph")
+        mk = {"scores": mask.scores, "score_idx": adj.score_idx,
+              "active": mask.active[adj.score_idx] if len(adj.score_idx) else None}
+    return _LAYERS[params.architecture](params, Tensor(graph.features), adj, mk)
 
 
 def predict(logits) -> np.ndarray:

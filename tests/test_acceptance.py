@@ -13,7 +13,7 @@ import pytest
 
 import fairedit.autodiff as ad
 import fairedit.models as models
-from fairedit.autodiff import Adam, SGD, ScoreMatrix, Tensor, backward
+from fairedit.autodiff import Adam, SGD, Tensor, backward
 from fairedit.editing import (EditTrainConfig, brute_force_select,
                               train_bruteforce, train_fairedit)
 from fairedit.graph import (EdgeEdit, EditKind, Exhaustive, Graph,
@@ -22,7 +22,7 @@ from fairedit.graph import (EdgeEdit, EditKind, Exhaustive, Graph,
                             synth_biased_graph, with_split)
 from fairedit.metrics import (counterfactual_unfairness, delta_eo, delta_sp,
                               evaluate, f1_score, instability)
-from fairedit.models import NormalizedAdjacency, init_params, train
+from fairedit.models import NormalizedAdjacency, ScoreMatrix, init_params, train
 
 from conftest import finite_diff, random_graph, rel_err
 

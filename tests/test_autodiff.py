@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 import fairedit.autodiff as ad
-from fairedit.autodiff import Adam, ScoreMatrix, SGD, Tensor, backward
+from fairedit.autodiff import Adam, SGD, Tensor, backward
 from fairedit.graph import Graph
-from fairedit.models import NormalizedAdjacency
+from fairedit.models import SATURATING_SCORE, NormalizedAdjacency, ScoreMatrix
 
 from conftest import assert_grad_close, finite_diff
 
@@ -211,7 +211,7 @@ def test_aggregate_saturated_mask_equals_unmasked():
     h = Tensor(np.random.default_rng(0).normal(size=(8, 3)))
     plain = ad.edge_aggregate(h, adj.src, adj.dst, adj.coef,
                               self_coef=adj.self_coef)
-    mask = ScoreMatrix(g, init_score=ad.SATURATING_SCORE)
+    mask = ScoreMatrix(g, init_score=SATURATING_SCORE)
     masked = ad.edge_aggregate(h, adj.src, adj.dst, adj.coef,
                                self_coef=adj.self_coef, scores=mask.scores,
                                score_idx=adj.score_idx,
@@ -225,3 +225,14 @@ def test_aggregate_no_edges_zero_output():
     h = Tensor(np.ones((3, 2)))
     out = ad.edge_aggregate(h, adj.src, adj.dst, adj.coef)
     np.testing.assert_array_equal(out.values, np.zeros((3, 2)))
+
+
+def test_autodiff_imports_no_package_module():
+    # the tape engine stays graph-agnostic: it imports nothing from fairedit
+    import ast
+    from pathlib import Path
+    for node in ast.walk(ast.parse(Path(ad.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and not node.module.startswith("fairedit")
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("fairedit") for a in node.names)

@@ -155,6 +155,14 @@ def test_grid_selection_by_val_f1():
     assert best[0] == max(val, key=lambda lr: val[lr])
 
 
+def test_grid_tie_prefers_larger_lr_before_smaller_hidden():
+    from fairedit.cli import select_grid_point
+    tied = {(1e-9, 16, 2): 0.5, (2e-9, 32, 2): 0.5}
+    assert select_grid_point(tied) == (2e-9, 32, 2)
+    assert select_grid_point({(1e-3, 16, 3): 0.5, (1e-3, 32, 2): 0.5}) == (1e-3, 16, 3)
+    assert select_grid_point({(1e-3, 16, 3): 0.5, (1e-3, 16, 2): 0.5}) == (1e-3, 16, 2)
+
+
 # ---------------------------------------------------------------------------
 # report emission
 
@@ -273,6 +281,17 @@ def test_main_loads_each_seed_graph_once(tmp_path, monkeypatch):
     assert len(calls) == 2
 
 
+def test_main_undefined_metric_exits_before_training(capsys):
+    from fairedit import models
+    models.reset_forward_calls()
+    rc = main(["--synthetic", "n=80,homophily=0.7,edge_density=3,label_bias=1.0",
+               "--model", "gcn", "--method", "fairedit", "--lr", "0.01,0.001",
+               "--hidden", "4", "--depth", "2", "--k", "5", "--seed", "0,1"])
+    assert rc == EXIT_DATA
+    assert capsys.readouterr().err.startswith("data error: delta_eo")
+    assert models.FORWARD_CALLS == 0
+
+
 # ---------------------------------------------------------------------------
 # error contract: every bad input ends in one stderr line and its exit code
 
@@ -309,6 +328,20 @@ _ERROR_CASES = [
     ("undefined fairness metric",
      lambda tmp: ["--synthetic", "n=80,homophily=0.7,edge_density=3,label_bias=1.0"],
      EXIT_DATA, "data error: delta_eo"),
+    ("zero lr", lambda tmp: ["--synthetic", SYNTH, "--lr", "0.01,0"],
+     EXIT_CONFIG, "config error: lr must be positive and finite"),
+    ("negative lr", lambda tmp: ["--synthetic", SYNTH, "--lr", "-0.01"],
+     EXIT_CONFIG, "config error: lr must be positive and finite"),
+    ("nan lr", lambda tmp: ["--synthetic", SYNTH, "--lr", "nan"],
+     EXIT_CONFIG, "config error: lr must be positive and finite"),
+    ("infinite lr", lambda tmp: ["--synthetic", SYNTH, "--lr", "inf"],
+     EXIT_CONFIG, "config error: lr must be positive and finite"),
+    ("zero depth", lambda tmp: ["--synthetic", SYNTH, "--depth", "0"],
+     EXIT_CONFIG, "config error: depth must be >= 1"),
+    ("zero hidden", lambda tmp: ["--synthetic", SYNTH, "--hidden", "0"],
+     EXIT_CONFIG, "config error: hidden must be >= 1"),
+    ("negative sigma", lambda tmp: ["--synthetic", SYNTH, "--sigma", "-1"],
+     EXIT_CONFIG, "config error: sigma must be finite and >= 0"),
 ]
 
 

@@ -192,7 +192,7 @@ def test_score_gradient_matches_finite_differences():
     # 2-node, single-edit instance, one mask iteration: |dL/dscore| equals
     # central finite differences on the scalar score
     from fairedit import autodiff as ad
-    from fairedit.autodiff import ScoreMatrix
+    from fairedit.models import DEFAULT_INIT_SCORE, ScoreMatrix
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(2, 2))
     feats[:, 0] = [0, 1]
@@ -209,7 +209,7 @@ def test_score_gradient_matches_finite_differences():
         out_s = models.forward(params, gstar, mask=mask)
         return ad.l1_diff(out_g, out_s).item()
 
-    s0 = ad.DEFAULT_INIT_SCORE
+    s0 = DEFAULT_INIT_SCORE
     step = 1e-4
     numeric = (loss_at(s0 + step) - loss_at(s0 - step)) / (2 * step)
     got = scores[edits[0]]
@@ -310,6 +310,22 @@ def test_edited_graphs_valid():
     p = init_params("gcn", g.d, 8, 2, seed=0)
     _, g_out, _ = train_fairedit(p, g, Adam(0.01), cfg)
     g_out.validate()
+
+
+def test_eval_nodes_leaves_fairedit_unchanged():
+    # eval_nodes drives brute-force selection only: FairEdit's mask loss
+    # covers all nodes, so its edits and weights do not depend on it
+    g = _split_graph(16, 4)
+    runs = {}
+    for nodes in ("train", "val"):
+        cfg = EditTrainConfig(alpha=4, K=6, rho=0.3, gamma=0.3, seed=1,
+                              eval_nodes=nodes)
+        p = init_params("gcn", g.d, 8, 2, seed=0)
+        _, g_out, trace = train_fairedit(p, g, Adam(0.01), cfg)
+        runs[nodes] = (trace.serialize(), g_out.keys.tobytes(),
+                       [t.values.tobytes() for t in p.parameters()])
+    assert runs["train"][0]
+    assert runs["train"] == runs["val"]
 
 
 def test_trace_serialization():

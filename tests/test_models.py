@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 import fairedit.models as models
-from fairedit.autodiff import Adam, SGD, ScoreMatrix, SATURATING_SCORE
+from fairedit.autodiff import Adam, SGD
 from fairedit.graph import Graph, GraphError, SyntheticSpec, synth_biased_graph, with_split
-from fairedit.models import (NormalizedAdjacency, forward, init_params,
+from fairedit.models import (SATURATING_SCORE, NormalizedAdjacency,
+                             ScoreMatrix, forward, init_params,
                              normalize_adjacency, predict, train, train_step)
 
 from conftest import random_graph
@@ -102,6 +103,18 @@ def test_mask_host_mismatch():
     mask = ScoreMatrix(other)
     with pytest.raises(GraphError, match="host"):
         forward(p, g, mask=mask)
+
+
+def test_adjacency_of_another_graph_rejected():
+    g = random_graph(6, 0.5, 0)
+    other = random_graph(6, 0.5, 99)
+    p = init_params("gcn", g.d, 8, 2, seed=0)
+    with pytest.raises(GraphError, match="adjacency"):
+        forward(p, g, adj=NormalizedAdjacency(other))
+    # the adjacency depends on the edges only, so a same-edge copy may share it
+    twin = g.replace(features=g.features + 1.0)
+    np.testing.assert_array_equal(forward(p, twin, adj=NormalizedAdjacency(g)).values,
+                                  forward(p, twin).values)
 
 
 def test_sage_isolated_node_self_only():
