@@ -2,7 +2,9 @@
 
 Each Tensor records its parents plus a closure that maps the output adjoint to
 parent adjoints. `backward` walks the tape in reverse topological order and
-accumulates gradients into every tensor that requires them. The op set is
+accumulates gradients into the leaf tensors that require them. A parent with
+requires_grad=False is a constant leaf, so ops compute no gradient for it
+(None in its slot). The op set is
 exactly what the GNN models and the edge-mask scoring need; no broadcasting
 beyond the row-bias case. The engine knows nothing about graphs: edge
 aggregation takes plain index and coefficient arrays.
@@ -57,8 +59,9 @@ def _op(values, parents, backward_fn):
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dloss/dt into t.grad for every requires_grad tensor
-    reachable from `loss`. Repeated calls without clearing add up."""
+    """Accumulate dloss/dt into t.grad for every requires_grad leaf t (a
+    tensor no op produced) reachable from `loss`; intermediate tensors keep
+    grad None. Repeated calls without clearing add up."""
     if loss.shape != (1, 1):
         raise AutodiffError("backward requires a scalar loss")
     topo, seen = [], set()
@@ -73,18 +76,19 @@ def backward(loss: Tensor) -> None:
         seen.add(id(t))
         stack.append((t, True))
         for p in t._parents:
-            stack.append((p, False))
+            if p.requires_grad:
+                stack.append((p, False))
     adj = {id(loss): np.ones((1, 1))}
     for t in reversed(topo):
         g = adj.pop(id(t), None)
         if g is None:
             continue
-        if t.requires_grad:
-            t._accumulate(g)
         if t._backward_fn is None:
+            if t.requires_grad:
+                t._accumulate(g)
             continue
         for p, pg in zip(t._parents, t._backward_fn(g)):
-            if pg is None:
+            if pg is None or not p.requires_grad:
                 continue
             if id(p) in adj:
                 adj[id(p)] = adj[id(p)] + pg
@@ -101,7 +105,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = a.values @ b.values
 
     def back(g):
-        return (g @ b.values.T, a.values.T @ g)
+        return (g @ b.values.T if a.requires_grad else None,
+                a.values.T @ g if b.requires_grad else None)
     return _op(out, (a, b), back)
 
 
@@ -112,7 +117,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             return (g, g)
     elif b.shape == (1, a.shape[1]):
         def back(g):
-            return (g, g.sum(axis=0, keepdims=True))
+            return (g, g.sum(axis=0, keepdims=True) if b.requires_grad else None)
     else:
         raise AutodiffError(f"add shape mismatch {a.shape} + {b.shape}")
     return _op(a.values + b.values, (a, b), back)
@@ -233,13 +238,29 @@ def l1_diff(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Sparse aggregation
 
+def _segment_sum(idx, gather, w, x: np.ndarray) -> np.ndarray:
+    """out[i, j] = sum of w_e * x[gather_e, j] over edges e with idx_e = i.
+
+    One bincount per column of x: bincount adds each bin's terms in edge
+    order, so the result is bitwise that of a sequential scatter-add of
+    w_e * x[gather_e] into zeros. Gathering from a contiguous column keeps
+    the reads in cache and needs no edges-by-columns temporary."""
+    n, k = x.shape
+    xt = np.ascontiguousarray(x.T)
+    out = np.empty((n, k))
+    for j in range(k):
+        out[:, j] = np.bincount(idx, weights=w * xt[j][gather], minlength=n)
+    return out
+
+
 def edge_aggregate(h: Tensor, src, dst, coef, self_coef=None,
                    scores: Tensor | None = None, score_idx=None,
                    active=None) -> Tensor:
     """out[v] = sum over directed edges e with dst_e = v of
     coef_e * w_e * h[src_e], plus self_coef[v] * h[v] when self loops are used.
     w_e = sigmoid(scores[score_idx_e]) when a score mask is attached, further
-    zeroed where active_e is False. Gradients flow into h and into scores."""
+    zeroed where active_e is False. Gradients flow into h and into scores,
+    each only when it requires one."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     coef = np.asarray(coef, dtype=np.float64)
@@ -251,30 +272,26 @@ def edge_aggregate(h: Tensor, src, dst, coef, self_coef=None,
         w = w * sig
         if active is not None:
             w = w * np.asarray(active, dtype=np.float64)
-    out = np.zeros_like(h.values)
-    if len(src):
-        np.add.at(out, dst, w[:, None] * h.values[src])
+    out = _segment_sum(dst, src, w, h.values)
     if self_coef is not None:
         out = out + np.asarray(self_coef)[:, None] * h.values
 
     parents = (h,) if scores is None else (h, scores)
 
     def back(g):
-        gh = np.zeros_like(h.values)
-        if len(src):
-            np.add.at(gh, src, w[:, None] * g[dst])
-        if self_coef is not None:
-            gh += np.asarray(self_coef)[:, None] * g
-        if scores is None:
-            return (gh,)
-        gs = np.zeros_like(scores.values)
-        if len(src):
+        gh = gs = None
+        if h.requires_grad:
+            gh = _segment_sum(src, dst, w, g)
+            if self_coef is not None:
+                gh += np.asarray(self_coef)[:, None] * g
+        if scores is not None and scores.requires_grad:
             dw = np.einsum("ek,ek->e", g[dst], h.values[src])
             act = np.ones_like(coef) if active is None \
                 else np.asarray(active, dtype=np.float64)
             ds = dw * coef * act * sig * (1.0 - sig)
-            np.add.at(gs[:, 0], score_idx, ds)
-        return (gh, gs)
+            gs = np.bincount(score_idx, weights=ds,
+                             minlength=scores.shape[0]).astype(np.float64, copy=False)[:, None]
+        return (gh,) if scores is None else (gh, gs)
     return _op(out, parents, back)
 
 

@@ -71,6 +71,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown format {self.out_format!r}")
         if not self.seeds:
             raise ConfigError("need at least one seed")
+        if not all(seed >= 0 for seed in self.seeds):
+            raise ConfigError("seed must be >= 0")
         if self.K < 0:
             raise ConfigError("K must be >= 0")
         if not all(math.isfinite(lr) and lr > 0 for lr in self.lrs):

@@ -2,6 +2,7 @@
 fairness, and gradient-based selection through a sigmoid edge-score mask."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +42,8 @@ class EditTrainConfig:
             raise GraphError("binarize_threshold must lie in (0, 1)")
         if self.mask_iters < 1:
             raise GraphError("mask_iters must be >= 1")
+        if not (math.isfinite(self.mask_lr) and self.mask_lr > 0):
+            raise GraphError("mask_lr must be positive and finite")
         if self.eval_nodes not in ("train", "val"):
             raise GraphError("eval_nodes must be 'train' or 'val'")
 
@@ -104,11 +107,13 @@ def generate_counterfactual_graph(graph: Graph, rho: float, gamma: float,
 
 def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
                             mask_iters: int = 5, mask_lr: float = 0.01,
-                            binarize_threshold: float = 0.5):
+                            binarize_threshold: float = 0.5,
+                            adj_g: models.NormalizedAdjacency | None = None):
     """Refine sigmoid edge masks on both graphs to maximize the L1 prediction
     gap between them, then read each edit's importance as the magnitude of the
     last-iteration score gradient: added edges from the perturbed graph's
-    mask, deleted edges from the original graph's mask.
+    mask, deleted edges from the original graph's mask. `adj_g`, the
+    caller's adjacency of `graph`, is reused when given.
 
     Returns (importance map, number of model forwards spent)."""
     try:
@@ -122,7 +127,8 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
 
     mask_g = models.ScoreMatrix(graph)
     mask_s = models.ScoreMatrix(gstar)
-    adj_g = models.NormalizedAdjacency(graph)
+    if adj_g is None:
+        adj_g = models.NormalizedAdjacency(graph)
     adj_s = models.NormalizedAdjacency(gstar)
 
     # only the masks learn: freeze model parameters for the refinement loop
@@ -210,7 +216,7 @@ def train_fairedit(params, graph: Graph, optimizer, config: EditTrainConfig):
             scores, n_fwd = edge_sensitivity_scores(
                 params, g, gstar, edits,
                 mask_iters=config.mask_iters, mask_lr=config.mask_lr,
-                binarize_threshold=config.binarize_threshold)
+                binarize_threshold=config.binarize_threshold, adj_g=adj)
             edit = select_edit(scores)
             g = apply_edit(g, edit)
             adj = models.NormalizedAdjacency(g)

@@ -544,6 +544,10 @@ class SyntheticSpec:
             raise GraphError("edge_density must be positive")
         if self.n < 4:
             raise GraphError("need at least 4 nodes")
+        if self.seed < 0:
+            raise GraphError("seed must be >= 0")
+        if self.n_features < 0:
+            raise GraphError("n_features must be >= 0")
 
 
 # mean shift of the noisy synthetic features between the two label classes,

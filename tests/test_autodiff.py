@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fairedit.autodiff as ad
 from fairedit.autodiff import Adam, SGD, Tensor, backward
@@ -225,6 +227,99 @@ def test_aggregate_no_edges_zero_output():
     h = Tensor(np.ones((3, 2)))
     out = ad.edge_aggregate(h, adj.src, adj.dst, adj.coef)
     np.testing.assert_array_equal(out.values, np.zeros((3, 2)))
+
+
+def _add_at_reference(h, src, dst, coef, self_coef, scores, score_idx,
+                      active, g):
+    """edge_aggregate's output, h gradient and score gradient for upstream
+    gradient g, summed with np.add.at."""
+    w = coef.copy()
+    if scores is not None:
+        sig = ad._sigmoid(scores[score_idx, 0])
+        w = w * sig * active.astype(np.float64)
+    out = np.zeros_like(h)
+    np.add.at(out, dst, w[:, None] * h[src])
+    gh = np.zeros_like(h)
+    np.add.at(gh, src, w[:, None] * g[dst])
+    if self_coef is not None:
+        out = out + self_coef[:, None] * h
+        gh += self_coef[:, None] * g
+    gs = None
+    if scores is not None:
+        gs = np.zeros_like(scores)
+        dw = np.einsum("ek,ek->e", g[dst], h[src])
+        ds = dw * coef * active.astype(np.float64) * sig * (1.0 - sig)
+        np.add.at(gs[:, 0], score_idx, ds)
+    return out, gh, gs
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), k=st.integers(1, 4),
+       edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
+                      max_size=30),
+       self_loops=st.booleans(), masked=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(n=3, k=2, edges=[], self_loops=True, masked=True, seed=0)
+@example(n=3, k=2, edges=[], self_loops=False, masked=False, seed=0)
+def test_aggregate_bitwise_equals_add_at(n, k, edges, self_loops, masked, seed):
+    # the bincount kernel must add each bin in np.add.at's (edge) order;
+    # magnitudes spread over 16 decades make any other order visible
+    rng = np.random.default_rng(seed)
+    e = np.array(edges, dtype=np.int64).reshape(-1, 2) % n
+    src, dst = e[:, 0], e[:, 1]
+    spread = lambda *shape: rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, shape)
+    hv, g = spread(n, k), spread(n, k)
+    coef = rng.random(len(src))
+    self_coef = rng.random(n) if self_loops else None
+    scores = score_idx = active = None
+    if masked:
+        m = max(len(src) // 2, 1)
+        scores = rng.normal(size=(m, 1)) * 3.0
+        score_idx = rng.integers(0, m, len(src))
+        active = rng.random(len(src)) < 0.6
+        active[:1] = False
+    h = Tensor(hv, requires_grad=True)
+    st_scores = None if scores is None else Tensor(scores.copy(), requires_grad=True)
+    out = ad.edge_aggregate(h, src, dst, coef, self_coef=self_coef,
+                            scores=st_scores, score_idx=score_idx, active=active)
+    backward(ad.sum_all(ad.mul(out, Tensor(g))))
+    ref_out, ref_gh, ref_gs = _add_at_reference(
+        hv, src, dst, coef, self_coef, scores, score_idx, active, g)
+    np.testing.assert_array_equal(out.values, ref_out)
+    np.testing.assert_array_equal(h.grad, ref_gh)
+    if masked:
+        np.testing.assert_array_equal(st_scores.grad, ref_gs)
+
+
+def test_backward_computes_no_gradient_for_frozen_or_constant(monkeypatch):
+    # a frozen weight and constant features are leaves nobody needs a
+    # gradient for: their ops return None in those slots and .grad stays None
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+    weight = Tensor(rng.normal(size=(3, 2)))
+    bias = Tensor(rng.normal(size=(1, 2)))
+    h = Tensor(rng.normal(size=(4, 2)))
+    scores = Tensor(rng.normal(size=(3, 1)), requires_grad=True)
+    src, dst = np.array([0, 1, 2, 3]), np.array([1, 1, 0, 2])
+    prod = ad.matmul(x, weight)
+    biased = ad.add(prod, bias)
+    agg = ad.edge_aggregate(h, src, dst, np.ones(4), self_coef=np.ones(4),
+                            scores=scores, score_idx=np.array([0, 1, 2, 0]))
+    g = np.ones((4, 2))
+    assert prod._backward_fn(g)[1] is None
+    assert biased._backward_fn(g)[1] is None
+    calls = []
+    real = ad._segment_sum
+    monkeypatch.setattr(ad, "_segment_sum",
+                        lambda *a: calls.append(a) or real(*a))
+    assert agg._backward_fn(g)[0] is None and calls == []
+    backward(ad.sum_all(ad.add(biased, agg)))
+    assert calls == []
+    assert weight.grad is None and bias.grad is None and h.grad is None
+    # intermediates keep no gradient either; only needed leaves get one
+    assert prod.grad is None and biased.grad is None and agg.grad is None
+    np.testing.assert_array_equal(x.grad, g @ weight.values.T)
+    assert scores.grad is not None and scores.grad.shape == (3, 1)
 
 
 def test_autodiff_imports_no_package_module():

@@ -342,6 +342,16 @@ _ERROR_CASES = [
      EXIT_CONFIG, "config error: hidden must be >= 1"),
     ("negative sigma", lambda tmp: ["--synthetic", SYNTH, "--sigma", "-1"],
      EXIT_CONFIG, "config error: sigma must be finite and >= 0"),
+    ("nan mask lr",
+     lambda tmp: ["--synthetic", SYNTH, "--method", "fairedit", "--mask-lr", "nan"],
+     EXIT_CONFIG, "config error: mask_lr must be positive and finite"),
+    ("negative seed", lambda tmp: ["--synthetic", SYNTH, "--seed", "-1"],
+     EXIT_CONFIG, "config error: seed must be >= 0"),
+    ("negative synthetic seed", lambda tmp: ["--synthetic", SYNTH + ",seed=-1"],
+     EXIT_CONFIG, "config error: bad synthetic spec: seed must be >= 0"),
+    ("negative synthetic n_features",
+     lambda tmp: ["--synthetic", SYNTH + ",n_features=-1"],
+     EXIT_CONFIG, "config error: bad synthetic spec: n_features must be >= 0"),
 ]
 
 
