@@ -14,8 +14,7 @@ from .metrics import (FairnessReport, MetricUndefinedError,
                       counterfactual_unfairness, delta_eo, delta_sp,
                       evaluate, f1_score, instability)
 from .models import (ModelParams, NormalizedAdjacency, ScoreMatrix, forward,
-                     init_params, normalize_adjacency, predict, train,
-                     train_step)
+                     init_params, predict, train, train_step)
 
 __all__ = [
     # autodiff
@@ -36,5 +35,5 @@ __all__ = [
     "delta_eo", "delta_sp", "evaluate", "f1_score", "instability",
     # models
     "ModelParams", "NormalizedAdjacency", "ScoreMatrix", "forward",
-    "init_params", "normalize_adjacency", "predict", "train", "train_step",
+    "init_params", "predict", "train", "train_step",
 ]

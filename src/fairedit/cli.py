@@ -3,6 +3,7 @@ training methods, deterministic multi-seed fairness reports."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import itertools
 import json
@@ -17,8 +18,8 @@ from . import models
 from .autodiff import Adam, SGD
 from .editing import CandidateCapExceeded, EditTrainConfig, train_bruteforce, train_fairedit
 from .graph import (Graph, GraphError, SyntheticSpec, load_edge_list,
-                    load_node_table, normalize_features, split,
-                    synth_biased_graph)
+                    load_node_table, normalize_features, synth_biased_graph,
+                    with_split)
 from .metrics import MetricUndefinedError, delta_eo, delta_sp, evaluate, f1_score
 
 EXIT_OK = 0
@@ -86,14 +87,18 @@ class ExperimentConfig:
         if self.synthetic is None and (self.nodes_path is None or self.edges_path is None):
             raise ConfigError("need --nodes and --edges, or --synthetic")
         try:
-            self.edit.K = self.K
-            # the default edit budget may exceed a short run; edits only
-            # happen in epochs k <= alpha anyway, so clamp (a negative alpha
-            # stays negative and fails edit.validate)
-            self.edit.alpha = min(self.edit.alpha, self.K)
-            self.edit.validate()
+            _edit_config(self, self.edit.seed).validate()
         except GraphError as e:
             raise ConfigError(str(e)) from e
+
+
+def _edit_config(cfg: ExperimentConfig, seed: int) -> EditTrainConfig:
+    """The edit settings of a run of `cfg` with `seed`: the run's K, and the
+    edit budget clamped to it. The default budget may exceed a short run;
+    edits only happen in epochs k <= alpha anyway (a negative alpha stays
+    negative and fails validation)."""
+    return dataclasses.replace(cfg.edit, K=cfg.K, alpha=min(cfg.edit.alpha, cfg.K),
+                               seed=seed)
 
 
 def _parse_synthetic(text: str) -> SyntheticSpec:
@@ -213,13 +218,12 @@ def _build_graph(cfg: ExperimentConfig, seed: int) -> Graph:
                 cfg.nodes_path, cfg.sensitive_col, cfg.label_col)
             edges = load_edge_list(cfg.edges_path, len(feats))
             g = Graph.build(feats, edges, sens, labels, s_idx)
-        tr, va, te = split(g.n, (0.5, 0.25, 0.25), g.labels, seed)
-        g = g.replace(train_mask=tr, val_mask=va, test_mask=te)
+        g = with_split(g, seed=seed)
         feats = normalize_features(g.features, g.train_mask, g.sensitive_col)
         # whether the group gaps are defined depends on the test split's
         # labels and groups only, not on the predictions
-        delta_sp(g.labels, g.sensitive, te)
-        delta_eo(g.labels, g.labels, g.sensitive, te)
+        delta_sp(g.labels, g.sensitive, g.test_mask)
+        delta_eo(g.labels, g.labels, g.sensitive, g.test_mask)
     except (OSError, GraphError, MetricUndefinedError) as e:
         raise DataError(str(e)) from e
     return g.replace(features=feats)
@@ -229,10 +233,10 @@ def _train_one(cfg: ExperimentConfig, graph: Graph, lr: float, hidden: int,
                depth: int, seed: int):
     params = models.init_params(cfg.model, graph.d, hidden, depth, seed)
     opt = (Adam if cfg.optimizer == "adam" else SGD)(lr)
-    edit_cfg = EditTrainConfig(**{**cfg.edit.__dict__, "K": cfg.K, "seed": seed})
     if cfg.method == "standard":
         models.train(params, graph, opt, cfg.K)
         return params, graph, None
+    edit_cfg = _edit_config(cfg, seed)
     if cfg.method == "bruteforce":
         return train_bruteforce(params, graph, opt, edit_cfg)
     return train_fairedit(params, graph, opt, edit_cfg)
@@ -300,7 +304,7 @@ def emit_report(reports, aggregate, cfg: ExperimentConfig, traces,
                 "dataset": cfg.dataset_name, "model": cfg.model,
                 "method": cfg.method, "K": cfg.K, "seeds": list(cfg.seeds),
                 "sigma": cfg.sigma,
-                "edit": {k: v for k, v in cfg.edit.__dict__.items()},
+                "edit": dataclasses.asdict(_edit_config(cfg, cfg.edit.seed)),
             },
             "reports": [r.to_dict() for r in reports],
             "aggregate": aggregate,

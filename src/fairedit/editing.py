@@ -46,6 +46,8 @@ class EditTrainConfig:
             raise GraphError("mask_lr must be positive and finite")
         if self.eval_nodes not in ("train", "val"):
             raise GraphError("eval_nodes must be 'train' or 'val'")
+        if self.candidate_cap < 0:
+            raise GraphError("candidate_cap must be >= 0")
 
 
 @dataclass
@@ -115,7 +117,8 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
     mask, deleted edges from the original graph's mask. `adj_g`, the
     caller's adjacency of `graph`, is reused when given.
 
-    Returns (importance map, number of model forwards spent)."""
+    Returns (importance map, number of model forwards measured in
+    models.FORWARD_CALLS while refining)."""
     try:
         expected = apply_edits(graph, edits)
     except GraphError as e:
@@ -136,14 +139,13 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
     flags = [t.requires_grad for t in tensors]
     for t in tensors:
         t.requires_grad = False
-    n_forwards = 0
+    start = models.FORWARD_CALLS
     try:
         grad_g = np.zeros_like(mask_g.scores.values)
         grad_s = np.zeros_like(mask_s.scores.values)
         for _ in range(mask_iters):
             out_g = models.forward(params, graph, mask=mask_g, adj=adj_g)
             out_s = models.forward(params, gstar, mask=mask_s, adj=adj_s)
-            n_forwards += 2
             ad.backward(ad.l1_diff(out_g, out_s))
             # gradient ascent on the gap, then binarize for the next forward
             grad_g = mask_g.ascend(mask_lr, binarize_threshold)
@@ -158,7 +160,7 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
     importance = np.empty(len(edits))
     importance[add] = np.abs(grad_s[gstar.edge_rows(uv[add, 0], uv[add, 1]), 0])
     importance[~add] = np.abs(grad_g[graph.edge_rows(uv[~add, 0], uv[~add, 1]), 0])
-    return dict(zip(edits, importance.tolist())), n_forwards
+    return dict(zip(edits, importance.tolist())), models.FORWARD_CALLS - start
 
 
 def select_edit(scores: dict) -> EdgeEdit:

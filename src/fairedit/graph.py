@@ -155,10 +155,6 @@ class Graph:
     def edge_set(self) -> frozenset:
         return self._cached("_edge_set", lambda: frozenset(self.edges))
 
-    def edge_array(self) -> np.ndarray:
-        """The stored (m, 2) edge array itself (read-only)."""
-        return self.pairs
-
     def edge_rows(self, u, v) -> np.ndarray:
         """Row of each edge (u[i], v[i]), u < v, in `pairs`; GraphError if
         one is not an edge of this graph."""
@@ -382,55 +378,36 @@ def split(n: int, fractions, labels, seed: int):
 # ---------------------------------------------------------------------------
 # Edits and views
 
-def _with_edges(graph: Graph, pairs: np.ndarray, keys: np.ndarray) -> Graph:
-    """`graph` with its edges replaced by the lexsorted `pairs`, whose keys
-    are `keys`."""
-    g = graph.replace(pairs=_readonly(pairs))
-    object.__setattr__(g, "_keys", _readonly(keys))
-    return g
-
-
 def apply_edit(graph: Graph, edit: EdgeEdit) -> Graph:
-    """One edge added or deleted: an O(m) insert into or delete from the
-    sorted edge array."""
-    e = edit.endpoints
-    if not (0 <= e[0] < graph.n and 0 <= e[1] < graph.n):
-        raise GraphError(f"edit endpoint out of range: {e}")
-    k = e[0] * graph.n + e[1]
-    keys, p = graph.keys, graph.pairs
-    i = int(np.searchsorted(keys, k))
-    present = i < len(keys) and keys[i] == k
-    if edit.kind is EditKind.ADD:
-        if present:
-            raise GraphError(f"Add of existing edge {e}")
-        return _with_edges(graph, np.concatenate([p[:i], [e], p[i:]]),
-                           np.concatenate([keys[:i], [k], keys[i:]]))
-    if not present:
-        raise GraphError(f"Delete of missing edge {e}")
-    return _with_edges(graph, np.concatenate([p[:i], p[i + 1:]]),
-                       np.concatenate([keys[:i], keys[i + 1:]]))
+    """One edge added or deleted."""
+    return apply_edits(graph, (edit,))
 
 
 def apply_edits(graph: Graph, edits) -> Graph:
     """Apply a batch of edits on distinct node pairs at once. The result
-    equals applying them one at a time with `apply_edit`; like it, the batch
-    is refused (GraphError, `graph` untouched) if an endpoint is out of range
-    or an edit adds an existing edge or deletes a missing one, and also if
-    two edits name the same pair."""
+    equals applying them one at a time; the batch is refused (GraphError,
+    `graph` untouched) if an endpoint is out of range, if two edits name the
+    same pair, or if an edit adds an existing edge or deletes a missing one,
+    checked in that order, each naming the first bad edit in input order."""
     edits = list(edits)
     if not edits:
         return graph
-    uv = np.array([e.endpoints for e in edits], dtype=np.int64)
-    out = ((uv < 0) | (uv >= graph.n)).any(axis=1)
-    if out.any():
-        raise GraphError(f"edit endpoint out of range: {edits[int(np.argmax(out))].endpoints}")
-    add = np.array([e.kind is EditKind.ADD for e in edits])
-    q = uv[:, 0] * graph.n + uv[:, 1]
-    _, first = np.unique(q, return_index=True)
-    if len(first) < len(q):
-        seen = np.zeros(len(q), dtype=bool)
-        seen[first] = True
-        raise GraphError(f"repeated edit of pair {edits[int(np.argmin(seen))].endpoints}")
+    n = graph.n
+    q, add = [], []
+    for e in edits:
+        if not (0 <= e.u < n and 0 <= e.v < n):
+            raise GraphError(f"edit endpoint out of range: {e.endpoints}")
+        q.append(e.u * n + e.v)
+        add.append(e.kind is EditKind.ADD)
+    q, add = np.array(q, dtype=np.int64), np.array(add)
+    order = np.argsort(q, kind="stable")
+    sq = q[order]
+    repeat = sq[1:] == sq[:-1]
+    if repeat.any():
+        # a stable sort keeps each pair's edits in input order, so the
+        # repeats are the ones after the first of their run
+        i = int(order[1:][repeat].min())
+        raise GraphError(f"repeated edit of pair {edits[i].endpoints}")
     pos, present = _lookup(graph.keys, q)
     clash = present == add
     if clash.any():
@@ -440,7 +417,11 @@ def apply_edits(graph: Graph, edits) -> Graph:
     keep = np.ones(len(graph.keys), dtype=bool)
     keep[pos[~add]] = False
     keys = np.sort(np.concatenate([graph.keys[keep], q[add]]))
-    return _with_edges(graph, np.stack([keys // graph.n, keys % graph.n], axis=1), keys)
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    g = graph.replace(pairs=_readonly(pairs))
+    object.__setattr__(g, "_keys", _readonly(keys))
+    return g
 
 
 def flip_sensitive(graph: Graph) -> Graph:
@@ -460,10 +441,12 @@ def perturb_features(graph: Graph, sigma: float, seed: int) -> Graph:
 
 
 def disjoint_union(a: Graph, b: Graph) -> Graph:
-    """Stack two graphs into one with no edges between the halves."""
-    return Graph.build(
+    """Stack two graphs into one with no edges between the halves. Offsetting
+    b's lexsorted pairs by a.n keeps the stack lexsorted, so it is stored as
+    is and only validated."""
+    g = Graph(
         np.vstack([a.features, b.features]),
-        np.concatenate([a.pairs, b.pairs + a.n]),
+        _readonly(np.concatenate([a.pairs, b.pairs + a.n])),
         np.concatenate([a.sensitive, b.sensitive]),
         np.concatenate([a.labels, b.labels]),
         a.sensitive_col,
@@ -471,6 +454,8 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
         np.concatenate([a.val_mask, b.val_mask]),
         np.concatenate([a.test_mask, b.test_mask]),
     )
+    g.validate()
+    return g
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +525,8 @@ class SyntheticSpec:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise GraphError(f"{name} must lie in [0, 1]")
-        if self.edge_density <= 0:
-            raise GraphError("edge_density must be positive")
+        if not (math.isfinite(self.edge_density) and self.edge_density > 0):
+            raise GraphError("edge_density must be positive and finite")
         if self.n < 4:
             raise GraphError("need at least 4 nodes")
         if self.seed < 0:

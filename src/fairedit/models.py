@@ -36,22 +36,17 @@ class NormalizedAdjacency:
     def __init__(self, graph: Graph):
         self.host = graph
         deg = graph.degrees()
-        ea = graph.edge_array()
-        u, v = ea[:, 0], ea[:, 1]
+        u, v = graph.pairs[:, 0], graph.pairs[:, 1]
         c = 1.0 / np.sqrt((deg[u] + 1.0) * (deg[v] + 1.0))
         self.src = np.concatenate([u, v])
         self.dst = np.concatenate([v, u])
         self.coef = np.concatenate([c, c])
         self.self_coef = 1.0 / (deg + 1.0)
-        m = len(ea)
+        m = len(graph.pairs)
         self.score_idx = np.concatenate([np.arange(m), np.arange(m)])
         # neighbor-mean coefficients (no self loop): 1 / deg(dst)
         safe = np.maximum(deg, 1)
         self.mean_coef = 1.0 / safe[self.dst].astype(np.float64)
-
-
-def normalize_adjacency(graph: Graph) -> NormalizedAdjacency:
-    return NormalizedAdjacency(graph)
 
 
 SATURATING_SCORE = 50.0
@@ -65,7 +60,7 @@ class ScoreMatrix:
 
     def __init__(self, graph: Graph, init_score: float = DEFAULT_INIT_SCORE):
         self.host = graph
-        m = len(graph.edge_array())
+        m = len(graph.pairs)
         self.scores = Tensor(np.full((m, 1), float(init_score)),
                              requires_grad=True)
         self.active = np.ones(m, dtype=bool)
@@ -99,11 +94,6 @@ class ModelParams:
             out.append(w)
             out.append(b)
         return out
-
-    def copy(self) -> "ModelParams":
-        ws = [Tensor(w.values.copy(), requires_grad=True) for w in self.weights]
-        bs = [Tensor(b.values.copy(), requires_grad=True) for b in self.biases]
-        return ModelParams(self.architecture, ws, bs, self.tau, self.power_iters)
 
 
 def init_params(architecture: str, in_dim: int, hidden: int, depth: int,

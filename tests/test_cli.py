@@ -1,7 +1,10 @@
+import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,8 @@ from fairedit.cli import (_KEYS, EXIT_CONFIG, EXIT_DATA, EXIT_OK, EXIT_REFUSED,
                           ConfigError, DataError, ExperimentConfig,
                           build_arg_parser, emit_report, main, parse_config,
                           run_experiment)
+from fairedit.editing import EditTrainConfig
+from fairedit.graph import SyntheticSpec
 
 SYNTH = "n=80,homophily=0.7,edge_density=3,label_bias=0.5,seed=0"
 
@@ -137,6 +142,24 @@ def test_run_fairedit_end_to_end():
     reports, aggregate, best, traces = run_experiment(cfg)
     assert len(reports) == 1
     assert 0 in traces
+
+
+def test_run_leaves_edit_config_unchanged(tmp_path):
+    # a run's K, clamped edit budget and seed go into a per-run copy, never
+    # into the config; the structured report shows that copy's values
+    edit = EditTrainConfig(alpha=50, rho=0.2, gamma=0.2)
+    cfg = ExperimentConfig(synthetic=SyntheticSpec(80, 0.7, 3.0, 0.5),
+                           method="fairedit", lrs=(0.01,), hiddens=(4,),
+                           depths=(2,), K=3, seeds=(1,),
+                           edit=dataclasses.replace(edit))
+    reports, aggregate, best, traces = run_experiment(cfg)
+    assert cfg.edit == edit
+    assert len(traces[1].entries) + len(traces[1].skipped_epochs) == 3
+    path = tmp_path / "r.json"
+    emit_report(reports, aggregate, cfg, traces, path, "structured")
+    block = json.loads(path.read_text())["config"]["edit"]
+    assert block == {**dataclasses.asdict(edit), "K": 3, "alpha": 3}
+    assert cfg.edit == edit
 
 
 def test_grid_selection_by_val_f1():
@@ -352,6 +375,17 @@ _ERROR_CASES = [
     ("negative synthetic n_features",
      lambda tmp: ["--synthetic", SYNTH + ",n_features=-1"],
      EXIT_CONFIG, "config error: bad synthetic spec: n_features must be >= 0"),
+    ("nan synthetic edge_density",
+     lambda tmp: ["--synthetic", "n=80,homophily=0.7,edge_density=nan,label_bias=0.5"],
+     EXIT_CONFIG,
+     "config error: bad synthetic spec: edge_density must be positive and finite"),
+    ("infinite synthetic edge_density",
+     lambda tmp: ["--synthetic", "n=80,homophily=0.7,edge_density=inf,label_bias=0.5"],
+     EXIT_CONFIG,
+     "config error: bad synthetic spec: edge_density must be positive and finite"),
+    ("negative candidate_cap",
+     lambda tmp: ["--synthetic", SYNTH, "--method", "bruteforce", "--candidate-cap", "-1"],
+     EXIT_CONFIG, "config error: candidate_cap must be >= 0"),
 ]
 
 
@@ -367,3 +401,44 @@ def test_main_error_contract(tmp_path, case, args, code, prefix):
     assert proc.returncode == code, (case, proc.stderr)
     assert len(lines) == 1 and lines[0].startswith(prefix), (case, proc.stderr)
     assert "Traceback" not in proc.stderr
+
+
+# Generated error contract: every numeric config key and every SyntheticSpec
+# field, set to each edge value, through the in-process entry point. A run
+# either succeeds with a finite report, or ends in one stderr line with its
+# exit code; `refused` is expected only from a zero candidate cap.
+_EDGE_VALUES = ("nan", "inf", "-1", "0")
+_NUMERIC_KEYS = [k for k, row in _KEYS.items() if row[0] is not str and k != "synthetic"]
+_SPEC_BASE = {"n": "80", "homophily": "0.7", "edge_density": "3", "label_bias": "0.5"}
+_SPEC_FIELDS = [f for f, t in typing.get_type_hints(SyntheticSpec).items()
+                if t in (int, float)]
+_EDGE_CASES = [(f"{k}={v}", k, None, v) for k in _NUMERIC_KEYS for v in _EDGE_VALUES] + \
+              [(f"synthetic.{f}={v}", None, f, v) for f in _SPEC_FIELDS for v in _EDGE_VALUES]
+
+
+@pytest.mark.parametrize("case,key,field,value", _EDGE_CASES,
+                         ids=[c[0] for c in _EDGE_CASES])
+def test_main_edge_values(tmp_path, capsys, case, key, field, value):
+    spec = {**_SPEC_BASE, **({field: value} if field else {})}
+    flags = {"synthetic": ",".join(f"{k}={v}" for k, v in spec.items()),
+             "model": "gcn", "method": "fairedit", "lr": "0.01", "hidden": "4",
+             "depth": "2", "k": "3", "seed": "0", "out": str(tmp_path / "r.csv")}
+    if key == "candidate_cap":
+        # only the exhaustive editor reads the cap
+        flags["method"] = "bruteforce"
+    if key:
+        flags[key] = value
+    rc = main([a for k, v in flags.items() for a in ("--" + k.replace("_", "-"), v)])
+    err = capsys.readouterr().err.splitlines()
+    if rc == EXIT_OK:
+        assert err == [], case
+        rows = (tmp_path / "r.csv").read_text().splitlines()[1:]
+        cells = [float(c) for row in rows for c in row.split(",")[4:]]
+        assert rows and all(map(math.isfinite, cells)), (case, rows)
+        return
+    prefix = {EXIT_CONFIG: "config error: ", EXIT_DATA: "data error: ",
+              EXIT_REFUSED: "refused: "}.get(rc)
+    assert prefix is not None, (case, rc)
+    assert len(err) == 1 and err[0].startswith(prefix), (case, err)
+    if rc == EXIT_REFUSED:
+        assert (key, value) == ("candidate_cap", "0"), (case, err)

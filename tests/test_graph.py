@@ -552,6 +552,55 @@ def test_differential_apply_edits(g, data):
     assert g.edges == before
 
 
+@st.composite
+def _split_graphs(draw, max_n=9):
+    """A `_graphs` graph with random node features and labels, and each node
+    in at most one of the train/val/test masks."""
+    g = draw(_graphs(max_n))
+    n = g.n
+    where = np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+    feats = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n, max_size=n)))
+    labels = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+    return g.replace(features=np.stack([g.sensitive.astype(float), feats], axis=1),
+                     labels=labels, train_mask=where == 1, val_mask=where == 2,
+                     test_mask=where == 3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=_split_graphs(), b=_split_graphs())
+def test_disjoint_union_equals_build_of_stacked_parts(a, b):
+    got = disjoint_union(a, b)
+    want = Graph.build(
+        np.vstack([a.features, b.features]),
+        np.concatenate([a.pairs, b.pairs + a.n]),
+        np.concatenate([a.sensitive, b.sensitive]),
+        np.concatenate([a.labels, b.labels]),
+        a.sensitive_col,
+        np.concatenate([a.train_mask, b.train_mask]),
+        np.concatenate([a.val_mask, b.val_mask]),
+        np.concatenate([a.test_mask, b.test_mask]))
+    for name in ("features", "pairs", "keys", "sensitive", "labels",
+                 "train_mask", "val_mask", "test_mask"):
+        x, y = getattr(got, name), getattr(want, name)
+        assert x.dtype == y.dtype, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+    assert got.sensitive_col == want.sensitive_col
+    _assert_stored_array(got)
+
+
+@pytest.mark.parametrize("bad_half", [0, 1])
+@pytest.mark.parametrize("corrupt,msg", [
+    (lambda g: g.replace(pairs=g.pairs[::-1].copy()), "out of lexicographic order"),
+    (lambda g: g.replace(pairs=g.pairs[:, ::-1].copy()), "not stored with u < v"),
+    (lambda g: g.replace(labels=g.labels + 2), "labels must be binary"),
+])
+def test_disjoint_union_rejects_invalid_half(triangle_graph, bad_half, corrupt, msg):
+    halves = [triangle_graph, triangle_graph]
+    halves[bad_half] = corrupt(triangle_graph)
+    with pytest.raises(GraphError, match=msg):
+        disjoint_union(*halves)
+
+
 def test_apply_edits_rejects_repeated_pair(triangle_graph):
     # one at a time this pair of edits would cancel out; a batch refuses it
     with pytest.raises(GraphError, match="repeated"):
@@ -559,6 +608,27 @@ def test_apply_edits_rejects_repeated_pair(triangle_graph):
     with pytest.raises(GraphError, match="out of range"):
         apply_edits(triangle_graph, [EdgeEdit.add(0, 3)])
     assert apply_edits(triangle_graph, []) is triangle_graph
+
+
+@pytest.mark.parametrize("edits,msg", [
+    # range is checked before repeats, and repeats before clashes
+    ([EdgeEdit.add(0, 1), EdgeEdit.add(0, 1), EdgeEdit.add(1, 5)],
+     "edit endpoint out of range: (1, 5)"),
+    ([EdgeEdit.add(0, 4), EdgeEdit.add(2, 3), EdgeEdit.add(1, 3), EdgeEdit.add(3, 2),
+      EdgeEdit.delete(4, 0)],
+     "repeated edit of pair (2, 3)"),
+    ([EdgeEdit.add(1, 3), EdgeEdit.add(0, 3), EdgeEdit.delete(2, 3), EdgeEdit.delete(1, 3)],
+     "repeated edit of pair (1, 3)"),
+    ([EdgeEdit.add(0, 3), EdgeEdit.delete(2, 3), EdgeEdit.add(0, 1)],
+     "Delete of missing edge (2, 3)"),
+    ([EdgeEdit.delete(0, 1), EdgeEdit.add(1, 2), EdgeEdit.delete(0, 3)],
+     "Add of existing edge (1, 2)"),
+])
+def test_apply_edits_names_first_bad_edit(triangle_graph, edits, msg):
+    g = _build(5, triangle_graph.edges, [0, 1, 0, 1, 0])
+    with pytest.raises(GraphError) as exc:
+        apply_edits(g, edits)
+    assert str(exc.value) == msg
 
 
 @settings(max_examples=150, deadline=None)

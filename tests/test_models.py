@@ -5,8 +5,8 @@ import fairedit.models as models
 from fairedit.autodiff import Adam, SGD
 from fairedit.graph import Graph, GraphError, SyntheticSpec, synth_biased_graph, with_split
 from fairedit.models import (SATURATING_SCORE, NormalizedAdjacency,
-                             ScoreMatrix, forward, init_params,
-                             normalize_adjacency, predict, train, train_step)
+                             ScoreMatrix, forward, init_params, predict, train,
+                             train_step)
 
 from conftest import random_graph
 
@@ -25,13 +25,13 @@ def _edgeless(n=3, d=4):
 
 def test_adjacency_isolated_node_self_coef():
     g = _edgeless(1)
-    adj = normalize_adjacency(g)
+    adj = NormalizedAdjacency(g)
     assert adj.self_coef[0] == 1.0
 
 
 def test_adjacency_two_connected_nodes():
     g = Graph.build(np.zeros((2, 1)), [(0, 1)], [0, 1], [0, 1], 0)
-    adj = normalize_adjacency(g)
+    adj = NormalizedAdjacency(g)
     # all four entries of D^-1/2 (A+I) D^-1/2 equal 0.5
     assert adj.coef[0] == pytest.approx(0.5)
     np.testing.assert_allclose(adj.self_coef, [0.5, 0.5])
@@ -39,8 +39,8 @@ def test_adjacency_two_connected_nodes():
 
 def test_adjacency_path_graph():
     g = Graph.build(np.zeros((3, 1)), [(0, 1), (1, 2)], [0, 1, 0], [0, 1, 0], 0)
-    adj = normalize_adjacency(g)
-    idx = list(map(tuple, g.edge_array())).index((0, 1))
+    adj = NormalizedAdjacency(g)
+    idx = list(map(tuple, g.pairs)).index((0, 1))
     assert adj.coef[idx] == pytest.approx(1.0 / np.sqrt(2 * 3))
 
 
