@@ -7,9 +7,10 @@ from .editing import (CandidateCapExceeded, EditTrace, EditTrainConfig,
                       train_bruteforce, train_fairedit)
 from .graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
                     Sampled, SyntheticSpec, apply_edit, apply_edits,
-                    candidate_edits, flip_sensitive, load_edge_list,
-                    load_node_table, normalize_features, perturb_features,
-                    save_edge_list, split, synth_biased_graph, with_split)
+                    candidate_edits, counterfactual_twin, flip_sensitive,
+                    load_edge_list, load_node_table, normalize_features,
+                    perturb_features, save_edge_list, split,
+                    synth_biased_graph, with_split)
 from .metrics import (FairnessReport, MetricUndefinedError,
                       counterfactual_unfairness, delta_eo, delta_sp,
                       evaluate, f1_score, instability)
@@ -27,9 +28,9 @@ __all__ = [
     # graph
     "EdgeEdit", "EditKind", "Exhaustive", "Graph", "GraphError", "Sampled",
     "SyntheticSpec", "apply_edit", "apply_edits", "candidate_edits",
-    "flip_sensitive", "load_edge_list", "load_node_table",
-    "normalize_features", "perturb_features", "save_edge_list", "split",
-    "synth_biased_graph", "with_split",
+    "counterfactual_twin", "flip_sensitive", "load_edge_list",
+    "load_node_table", "normalize_features", "perturb_features",
+    "save_edge_list", "split", "synth_biased_graph", "with_split",
     # metrics
     "FairnessReport", "MetricUndefinedError", "counterfactual_unfairness",
     "delta_eo", "delta_sp", "evaluate", "f1_score", "instability",

@@ -400,25 +400,37 @@ def apply_edits(graph: Graph, edits) -> Graph:
         q.append(e.u * n + e.v)
         add.append(e.kind is EditKind.ADD)
     q, add = np.array(q, dtype=np.int64), np.array(add)
-    order = np.argsort(q, kind="stable")
-    sq = q[order]
-    repeat = sq[1:] == sq[:-1]
-    if repeat.any():
-        # a stable sort keeps each pair's edits in input order, so the
-        # repeats are the ones after the first of their run
-        i = int(order[1:][repeat].min())
-        raise GraphError(f"repeated edit of pair {edits[i].endpoints}")
+    if len(edits) > 1:
+        order = np.argsort(q, kind="stable")
+        sq = q[order]
+        repeat = sq[1:] == sq[:-1]
+        if repeat.any():
+            # a stable sort keeps each pair's edits in input order, so the
+            # repeats are the ones after the first of their run
+            i = int(order[1:][repeat].min())
+            raise GraphError(f"repeated edit of pair {edits[i].endpoints}")
     pos, present = _lookup(graph.keys, q)
     clash = present == add
     if clash.any():
         e = edits[int(np.argmax(clash))]
         what = "Add of existing" if e.kind is EditKind.ADD else "Delete of missing"
         raise GraphError(f"{what} edge {e.endpoints}")
-    keep = np.ones(len(graph.keys), dtype=bool)
-    keep[pos[~add]] = False
-    keys = np.sort(np.concatenate([graph.keys[keep], q[add]]))
-    pairs = np.empty((len(keys), 2), dtype=np.int64)
-    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    if len(edits) == 1:
+        # splice the lone key and pair in (or out) at its lookup position
+        i, e = int(pos[0]), edits[0]
+        k, p = graph.keys, graph.pairs
+        if add[0]:
+            keys = np.concatenate([k[:i], q, k[i:]])
+            pairs = np.concatenate([p[:i], [[e.u, e.v]], p[i:]])
+        else:
+            keys = np.concatenate([k[:i], k[i + 1:]])
+            pairs = np.concatenate([p[:i], p[i + 1:]])
+    else:
+        keep = np.ones(len(graph.keys), dtype=bool)
+        keep[pos[~add]] = False
+        keys = np.sort(np.concatenate([graph.keys[keep], q[add]]))
+        pairs = np.empty((len(keys), 2), dtype=np.int64)
+        np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
     g = graph.replace(pairs=_readonly(pairs))
     object.__setattr__(g, "_keys", _readonly(keys))
     return g
@@ -443,7 +455,7 @@ def perturb_features(graph: Graph, sigma: float, seed: int) -> Graph:
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     """Stack two graphs into one with no edges between the halves. Offsetting
     b's lexsorted pairs by a.n keeps the stack lexsorted, so it is stored as
-    is and only validated."""
+    is and only validated: either half may be any Graph value."""
     g = Graph(
         np.vstack([a.features, b.features]),
         _readonly(np.concatenate([a.pairs, b.pairs + a.n])),
@@ -456,6 +468,25 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
     )
     g.validate()
     return g
+
+
+def counterfactual_twin(graph: Graph) -> Graph:
+    """`disjoint_union(graph, flip_sensitive(graph))`, stacked directly. Both
+    halves carry `graph`'s own valid pairs, so the stack is valid by
+    construction and is not validated again."""
+    n, col = graph.n, graph.sensitive_col
+    feats = np.concatenate([graph.features, graph.features])
+    feats[n:, col] = 1 - feats[n:, col]
+    return Graph(
+        feats,
+        _readonly(np.concatenate([graph.pairs, graph.pairs + n])),
+        np.concatenate([graph.sensitive, 1 - graph.sensitive]),
+        np.concatenate([graph.labels, graph.labels]),
+        col,
+        np.concatenate([graph.train_mask, graph.train_mask]),
+        np.concatenate([graph.val_mask, graph.val_mask]),
+        np.concatenate([graph.test_mask, graph.test_mask]),
+    )
 
 
 # ---------------------------------------------------------------------------

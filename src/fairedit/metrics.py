@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import models
-from .graph import Graph, disjoint_union, flip_sensitive, perturb_features
+from .graph import Graph, counterfactual_twin, perturb_features
 
 
 class MetricUndefinedError(ValueError):
@@ -65,8 +65,8 @@ def counterfactual_unfairness(params, graph: Graph, mask) -> float:
     mask = np.asarray(mask, dtype=bool)
     if not mask.any():
         raise MetricUndefinedError("counterfactual_unfairness: empty mask")
-    union = disjoint_union(graph, flip_sensitive(graph))
-    pred = models.predict(models.forward(params, union))
+    twin = counterfactual_twin(graph)
+    pred = models.predict(models.forward(params, twin))
     n = graph.n
     return float(np.mean(pred[:n][mask] != pred[n:][mask]))
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -31,22 +32,30 @@ def reset_forward_calls() -> int:
 class NormalizedAdjacency:
     """Per-edge coefficients of the self-loop-augmented, symmetrically
     normalized adjacency D^-1/2 (A + I) D^-1/2, stored as directed arrays
-    (each undirected edge appears in both directions)."""
+    (each undirected edge appears in both directions). The edge-score index
+    and the neighbor-mean coefficients are built on first use, since only
+    masked and SAGE forwards read them."""
 
     def __init__(self, graph: Graph):
         self.host = graph
-        deg = graph.degrees()
+        self.deg = deg = graph.degrees()
         u, v = graph.pairs[:, 0], graph.pairs[:, 1]
         c = 1.0 / np.sqrt((deg[u] + 1.0) * (deg[v] + 1.0))
         self.src = np.concatenate([u, v])
         self.dst = np.concatenate([v, u])
         self.coef = np.concatenate([c, c])
         self.self_coef = 1.0 / (deg + 1.0)
-        m = len(graph.pairs)
-        self.score_idx = np.concatenate([np.arange(m), np.arange(m)])
+
+    @cached_property
+    def score_idx(self) -> np.ndarray:
+        m = len(self.host.pairs)
+        return np.concatenate([np.arange(m), np.arange(m)])
+
+    @cached_property
+    def mean_coef(self) -> np.ndarray:
         # neighbor-mean coefficients (no self loop): 1 / deg(dst)
-        safe = np.maximum(deg, 1)
-        self.mean_coef = 1.0 / safe[self.dst].astype(np.float64)
+        safe = np.maximum(self.deg, 1)
+        return 1.0 / safe[self.dst].astype(np.float64)
 
 
 SATURATING_SCORE = 50.0

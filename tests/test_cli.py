@@ -389,10 +389,29 @@ _ERROR_CASES = [
 ]
 
 
+def _exit_code(argv) -> int:
+    """`main`'s exit code; a run that raises SystemExit gives that code."""
+    try:
+        return main(argv)
+    except SystemExit as e:
+        return e.code
+
+
 @pytest.mark.parametrize("case,args,code,prefix", _ERROR_CASES,
                          ids=[c[0] for c in _ERROR_CASES])
-def test_main_error_contract(tmp_path, case, args, code, prefix):
+def test_main_error_contract(tmp_path, capsys, case, args, code, prefix):
+    rc = _exit_code([*_TRAIN, *args(tmp_path)])
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    assert rc == code, (case, err)
+    assert len(lines) == 1 and lines[0].startswith(prefix), (case, err)
+    assert "Traceback" not in err
+
+
+def test_module_entry_point_error_contract(tmp_path):
+    # `python -m fairedit.cli` exits with main's code and its one stderr line
     import fairedit
+    case, args, code, prefix = next(c for c in _ERROR_CASES if c[0] == "unknown flag")
     env = {**os.environ, "PYTHONPATH": str(Path(fairedit.__file__).resolve().parents[1])}
     proc = subprocess.run(
         [sys.executable, "-m", "fairedit.cli", *_TRAIN, *args(tmp_path)],

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import fairedit.models as models
 from fairedit.autodiff import Adam, SGD
-from fairedit.graph import Graph, GraphError, SyntheticSpec, synth_biased_graph, with_split
+from fairedit.graph import (Graph, GraphError, SyntheticSpec, counterfactual_twin,
+                            disjoint_union, flip_sensitive, synth_biased_graph,
+                            with_split)
 from fairedit.models import (SATURATING_SCORE, NormalizedAdjacency,
                              ScoreMatrix, forward, init_params, predict, train,
                              train_step)
@@ -157,6 +161,64 @@ def test_appnp_geometric_convergence():
                 assert gap <= (1 - tau) * prev_gap + 1e-12
             prev_gap = gap
         z_prev = z
+
+
+# ---------------------------------------------------------------------------
+# the counterfactual twin: a graph and its sensitive-flipped copy side by side
+
+def _twin_case(n, edges, s, feats, labels, where, col):
+    """A graph with `feats` as its non-sensitive columns and the sensitive
+    attribute inserted at column `col`; `where` puts each node in no split
+    (0) or in train/val/test (1/2/3)."""
+    feats = np.insert(np.asarray(feats, dtype=float).reshape(n, -1), col,
+                      s, axis=1)
+    where = np.asarray(where)
+    return Graph.build(feats, edges, s, labels, col, train_mask=where == 1,
+                       val_mask=where == 2, test_mask=where == 3)
+
+
+@st.composite
+def _twin_graphs(draw, max_n=8):
+    n = draw(st.integers(1, max_n))
+    all_pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(all_pairs), max_size=len(all_pairs)))
+    bits = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    return _twin_case(
+        n, [p for p, k in zip(all_pairs, keep) if k], draw(bits),
+        draw(st.lists(st.floats(-10, 10), min_size=2 * n, max_size=2 * n)),
+        draw(bits), draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+        draw(st.integers(0, 2)))
+
+
+_GRAPH_FIELDS = ("features", "pairs", "keys", "sensitive", "labels",
+                 "train_mask", "val_mask", "test_mask")
+
+
+@settings(max_examples=60, deadline=None)
+@given(g=_twin_graphs(), depth=st.integers(1, 3))
+# no edges at all; and node 3 isolated beside a path
+@example(g=_twin_case(4, [], [0, 1, 1, 0], np.arange(8.0), [0, 1, 0, 1],
+                      [1, 2, 3, 0], 0), depth=2)
+@example(g=_twin_case(4, [(0, 1), (1, 2)], [1, 0, 1, 1], -np.arange(8.0),
+                      [1, 1, 0, 0], [1, 1, 2, 3], 2), depth=2)
+def test_counterfactual_twin_equals_union_of_flipped(g, depth):
+    got, want = counterfactual_twin(g), disjoint_union(g, flip_sensitive(g))
+    for name in _GRAPH_FIELDS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+    assert got.sensitive_col == want.sensitive_col
+    assert not got.pairs.flags.writeable
+    for arch in models.ARCHITECTURES:
+        p = init_params(arch, g.d, 4, depth, seed=depth)
+        logits = forward(p, got).values
+        assert np.isfinite(logits).all(), arch
+        assert logits.tobytes() == forward(p, want).values.tobytes(), arch
+        # each half is the model on its own graph
+        np.testing.assert_allclose(logits[:g.n], forward(p, g).values,
+                                   rtol=1e-12, atol=1e-12, err_msg=arch)
+        np.testing.assert_allclose(logits[g.n:], forward(p, flip_sensitive(g)).values,
+                                   rtol=1e-12, atol=1e-12, err_msg=arch)
 
 
 # ---------------------------------------------------------------------------
