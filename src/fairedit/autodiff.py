@@ -11,6 +11,8 @@ aggregation takes plain index and coefficient arrays.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -298,11 +300,16 @@ def edge_aggregate(h: Tensor, src, dst, coef, self_coef=None,
 # ---------------------------------------------------------------------------
 # Optimizers
 
+def _learning_rate(value) -> float:
+    lr = float(value)
+    if not (math.isfinite(lr) and lr > 0):
+        raise AutodiffError("learning_rate must be positive and finite")
+    return lr
+
+
 class SGD:
     def __init__(self, learning_rate: float):
-        if learning_rate <= 0:
-            raise AutodiffError("learning_rate must be positive")
-        self.learning_rate = float(learning_rate)
+        self.learning_rate = _learning_rate(learning_rate)
 
     def step(self, params) -> None:
         for p in params:
@@ -314,9 +321,12 @@ class SGD:
 class Adam:
     def __init__(self, learning_rate: float, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
-        if learning_rate <= 0:
-            raise AutodiffError("learning_rate must be positive")
-        self.learning_rate = float(learning_rate)
+        self.learning_rate = _learning_rate(learning_rate)
+        # beta = 1 would divide the bias correction by zero
+        if not (0 <= beta1 < 1 and 0 <= beta2 < 1):
+            raise AutodiffError("beta1 and beta2 must lie in [0, 1)")
+        if not (math.isfinite(eps) and eps > 0):
+            raise AutodiffError("eps must be positive and finite")
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self._state: dict[int, dict] = {}
 

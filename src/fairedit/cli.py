@@ -205,28 +205,41 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
 # ---------------------------------------------------------------------------
 # Experiment execution
 
-def _build_graph(cfg: ExperimentConfig, seed: int) -> Graph:
-    """The experiment graph for one seed; every way the data can be unusable
-    (unreadable files, infeasible synthetic spec, too few nodes to split, a
-    test split on which Delta_SP or Delta_EO is undefined) surfaces as
-    DataError, before any training."""
+def _load_graph(cfg: ExperimentConfig) -> Graph:
+    """The run's unsplit graph, parsed from the input files or synthesized;
+    unreadable files and infeasible specs surface as DataError. Every seed of
+    a run splits this one graph."""
     try:
         if cfg.synthetic is not None:
-            g = synth_biased_graph(cfg.synthetic)
-        else:
-            feats, sens, labels, s_idx = load_node_table(
-                cfg.nodes_path, cfg.sensitive_col, cfg.label_col)
-            edges = load_edge_list(cfg.edges_path, len(feats))
-            g = Graph.build(feats, edges, sens, labels, s_idx)
-        g = with_split(g, seed=seed)
+            return synth_biased_graph(cfg.synthetic)
+        feats, sens, labels, s_idx = load_node_table(
+            cfg.nodes_path, cfg.sensitive_col, cfg.label_col)
+        edges = load_edge_list(cfg.edges_path, len(feats))
+        return Graph.build(feats, edges, sens, labels, s_idx)
+    except (OSError, GraphError) as e:
+        raise DataError(str(e)) from e
+
+
+def _split_graph(base: Graph, seed: int) -> Graph:
+    """`base` split and feature-normalized for one seed; too few nodes to
+    split, or a test split on which Delta_SP or Delta_EO is undefined,
+    surfaces as DataError, before any training."""
+    try:
+        g = with_split(base, seed=seed)
         feats = normalize_features(g.features, g.train_mask, g.sensitive_col)
         # whether the group gaps are defined depends on the test split's
         # labels and groups only, not on the predictions
         delta_sp(g.labels, g.sensitive, g.test_mask)
         delta_eo(g.labels, g.labels, g.sensitive, g.test_mask)
-    except (OSError, GraphError, MetricUndefinedError) as e:
+    except (GraphError, MetricUndefinedError) as e:
         raise DataError(str(e)) from e
     return g.replace(features=feats)
+
+
+def _build_graph(cfg: ExperimentConfig, seed: int) -> Graph:
+    """The experiment graph for one seed: every way the data can be unusable
+    surfaces as DataError, before any training."""
+    return _split_graph(_load_graph(cfg), seed)
 
 
 def _train_one(cfg: ExperimentConfig, graph: Graph, lr: float, hidden: int,
@@ -248,8 +261,10 @@ def run_experiment(cfg: ExperimentConfig):
 
     Returns (reports, aggregate, selected_grid_point, traces)."""
     cfg.validate()
-    # graphs are immutable, so every grid point shares each seed's graph
-    graphs = {seed: _build_graph(cfg, seed) for seed in cfg.seeds}
+    # graphs are immutable: the input is parsed once, and every grid point
+    # shares each seed's split of it
+    base = _load_graph(cfg)
+    graphs = {seed: _split_graph(base, seed) for seed in cfg.seeds}
     runs = {}
     for key in itertools.product(cfg.lrs, cfg.hiddens, cfg.depths):
         runs[key] = []

@@ -109,7 +109,11 @@ class Graph:
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
         try:
-            e = np.asarray(edges, dtype=np.int64)
+            e = np.asarray(edges)
+            # a cast would truncate 0.7 to node 0: only integral values pass
+            if e.dtype.kind == "f" and not (np.isfinite(e) & (e == np.trunc(e))).all():
+                raise ValueError("non-integral node id")
+            e = e.astype(np.int64, copy=False)
         except (TypeError, ValueError, OverflowError) as exc:
             raise GraphError("edges must be pairs of integer node ids") from exc
         if e.size == 0:

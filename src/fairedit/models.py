@@ -34,7 +34,11 @@ class NormalizedAdjacency:
     normalized adjacency D^-1/2 (A + I) D^-1/2, stored as directed arrays
     (each undirected edge appears in both directions). The edge-score index
     and the neighbor-mean coefficients are built on first use, since only
-    masked and SAGE forwards read them."""
+    masked and SAGE forwards read them.
+
+    The unmasked first-layer propagation of the host's features uses no model
+    parameters, so it is also computed on first use and then shared by every
+    unmasked GCN or SAGE forward on a graph with the host's features array."""
 
     def __init__(self, graph: Graph):
         self.host = graph
@@ -45,6 +49,7 @@ class NormalizedAdjacency:
         self.dst = np.concatenate([v, u])
         self.coef = np.concatenate([c, c])
         self.self_coef = 1.0 / (deg + 1.0)
+        self._first_layer = {}
 
     @cached_property
     def score_idx(self) -> np.ndarray:
@@ -56,6 +61,16 @@ class NormalizedAdjacency:
         # neighbor-mean coefficients (no self loop): 1 / deg(dst)
         safe = np.maximum(self.deg, 1)
         return 1.0 / safe[self.dst].astype(np.float64)
+
+    def first_layer(self, architecture: str) -> Tensor:
+        """Layer 0 of an unmasked GCN or SAGE model on the host's features,
+        before its weights; computed on first use, then shared."""
+        out = self._first_layer.get(architecture)
+        if out is None:
+            out = _PROPAGATE[architecture](Tensor(self.host.features), self, {})
+            out.values.flags.writeable = False   # no forward may write into it
+            self._first_layer[architecture] = out
+        return out
 
 
 SATURATING_SCORE = 50.0
@@ -132,29 +147,39 @@ def _same_graph(a: Graph, b: Graph) -> bool:
     return a is b or (a.n == b.n and np.array_equal(a.keys, b.keys))
 
 
-def _gcn(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
+def _gcn_propagate(h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
+    return ad.edge_aggregate(h, adj.src, adj.dst, adj.coef,
+                             self_coef=adj.self_coef, **mk)
+
+
+def _sage_propagate(h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
+    nb = ad.edge_aggregate(h, adj.src, adj.dst, adj.mean_coef,
+                           self_coef=None, **mk)
+    return ad.concat_cols(h, nb)
+
+
+_PROPAGATE = {"gcn": _gcn_propagate, "sage": _sage_propagate}
+
+
+def _message_passing(params: ModelParams, h: Tensor, adj: NormalizedAdjacency,
+                     mk: dict, cached: bool) -> Tensor:
+    """GCN or SAGE: per layer, propagate, then the weights; layer 0 comes
+    from `adj`'s cache when `cached`."""
+    propagate = _PROPAGATE[params.architecture]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = ad.edge_aggregate(h, adj.src, adj.dst, adj.coef,
-                              self_coef=adj.self_coef, **mk)
+        if i == 0 and cached:
+            h = adj.first_layer(params.architecture)
+        else:
+            h = propagate(h, adj, mk)
         h = ad.add(ad.matmul(h, w), b)
         if i < last:
             h = ad.relu(h)
     return h
 
 
-def _sage(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        nb = ad.edge_aggregate(h, adj.src, adj.dst, adj.mean_coef,
-                               self_coef=None, **mk)
-        h = ad.add(ad.matmul(ad.concat_cols(h, nb), w), b)
-        if i < last:
-            h = ad.relu(h)
-    return h
-
-
 def _appnp(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
+    # the first op is a matmul with the weights: nothing to precompute
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
         h = ad.add(ad.matmul(h, w), b)
@@ -168,14 +193,14 @@ def _appnp(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -
     return z
 
 
-_LAYERS = {"gcn": _gcn, "sage": _sage, "appnp": _appnp}
-
-
 def forward(params: ModelParams, graph: Graph,
             mask: ScoreMatrix | None = None,
             adj: NormalizedAdjacency | None = None) -> Tensor:
     """Logits of the model on `graph`, optionally through an edge-score mask
     of the same graph. `adj` is reused when given; it must belong to `graph`.
+    An unmasked GCN or SAGE forward takes its first-layer propagation from
+    `adj` when `graph` has the features array of `adj`'s host; a graph that
+    only shares the edges propagates its own features.
     Every call counts one model forward in FORWARD_CALLS."""
     global FORWARD_CALLS
     FORWARD_CALLS += 1
@@ -189,7 +214,11 @@ def forward(params: ModelParams, graph: Graph,
             raise GraphError("score mask host does not match the adjacency's graph")
         mk = {"scores": mask.scores, "score_idx": adj.score_idx,
               "active": mask.active[adj.score_idx] if len(adj.score_idx) else None}
-    return _LAYERS[params.architecture](params, Tensor(graph.features), adj, mk)
+    h = Tensor(graph.features)
+    if params.architecture == "appnp":
+        return _appnp(params, h, adj, mk)
+    return _message_passing(params, h, adj, mk,
+                            cached=not mk and graph.features is adj.host.features)
 
 
 def predict(logits) -> np.ndarray:

@@ -109,6 +109,35 @@ def test_adam_first_step_size():
     assert abs(w.values[0, 0] + 0.05) < 1e-6
 
 
+@pytest.mark.parametrize("lr", [math.nan, math.inf, -math.inf, 0.0, -0.1])
+@pytest.mark.parametrize("opt", [SGD, Adam])
+def test_optimizer_rejects_bad_learning_rate(opt, lr):
+    with pytest.raises(ad.AutodiffError, match="learning_rate"):
+        opt(lr)
+
+
+@pytest.mark.parametrize("kw", [
+    {"beta1": 1.0}, {"beta1": -0.1}, {"beta1": math.nan},
+    {"beta2": 1.0}, {"beta2": 1.5}, {"beta2": math.nan},
+])
+def test_adam_rejects_beta_outside_unit_interval(kw):
+    with pytest.raises(ad.AutodiffError, match="beta"):
+        Adam(0.01, **kw)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1e-8, math.nan, math.inf])
+def test_adam_rejects_bad_eps(eps):
+    with pytest.raises(ad.AutodiffError, match="eps"):
+        Adam(0.01, eps=eps)
+
+
+def test_adam_accepts_zero_betas():
+    w = Tensor([[0.0]], requires_grad=True)
+    w.grad = np.array([[2.0]])
+    Adam(0.05, beta1=0.0, beta2=0.0).step([w])
+    assert np.isfinite(w.values).all()
+
+
 def test_forward_does_not_mutate_inputs():
     rng = np.random.default_rng(0)
     a = Tensor(rng.normal(size=(3, 3)), requires_grad=True)

@@ -281,15 +281,21 @@ def test_main_loads_files(tmp_path):
 
 
 def test_main_loads_each_seed_graph_once(tmp_path, monkeypatch):
+    # the input files are parsed once per run, not once per seed
     import fairedit.cli
-    from fairedit.graph import load_node_table
+    from fairedit.graph import load_edge_list, load_node_table
     calls = []
 
-    def counting(*args):
-        calls.append(args)
-        return load_node_table(*args)
+    def counting(name, load):
+        def wrapped(*args):
+            calls.append(name)
+            return load(*args)
+        return wrapped
 
-    monkeypatch.setattr(fairedit.cli, "load_node_table", counting)
+    monkeypatch.setattr(fairedit.cli, "load_node_table",
+                        counting("nodes", load_node_table))
+    monkeypatch.setattr(fairedit.cli, "load_edge_list",
+                        counting("edges", load_edge_list))
     nodes = tmp_path / "nodes.csv"
     rng = np.random.default_rng(0)
     nodes.write_text("f1,sensitive,label\n" + "".join(
@@ -301,7 +307,22 @@ def test_main_loads_each_seed_graph_once(tmp_path, monkeypatch):
                "--lr", "0.01,0.001", "--hidden", "4", "--depth", "2",
                "--seed", "0,1", "--out", str(tmp_path / "r.csv")])
     assert rc == EXIT_OK
-    assert len(calls) == 2
+    assert calls == ["nodes", "edges"]
+
+
+def test_run_synthesizes_the_graph_once(monkeypatch):
+    import fairedit.cli
+    from fairedit.graph import synth_biased_graph
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return synth_biased_graph(spec)
+
+    monkeypatch.setattr(fairedit.cli, "synth_biased_graph", counting)
+    cfg = parse_config(None, _small_overrides(lr="0.01,0.001", k="2"))
+    run_experiment(cfg)
+    assert len(calls) == 1
 
 
 def test_main_undefined_metric_exits_before_training(capsys):

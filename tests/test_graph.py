@@ -510,6 +510,29 @@ def test_build_rejects_non_pairs():
         _build(3, [(0, 1), (1,)], [0, 1, 0])
 
 
+@pytest.mark.parametrize("edges", [
+    [(0.7, 1.2), (1, 2)],
+    [(0, 1.5)],
+    np.array([[0.0, 1.0], [1.0, 2.5]]),
+    [(0, float("nan"))],
+    [(0, float("inf"))],
+])
+def test_build_rejects_non_integral_ids(edges):
+    # a cast to int64 would truncate them to other, valid node ids
+    with pytest.raises(GraphError, match="pairs of integer node ids"):
+        _build(3, edges, [0, 1, 0])
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1), (1, 2)],
+    np.array([[0, 1], [1, 2]], dtype=np.int32),
+    np.array([[0.0, 1.0], [1.0, 2.0]]),
+    [(np.int64(0), 1), (1.0, 2.0)],
+])
+def test_build_accepts_integral_ids(edges):
+    assert _build(3, edges, [0, 1, 0]).edges == ((0, 1), (1, 2))
+
+
 def test_validate_rejects_unsorted_array():
     g = _build(3, [(0, 1), (1, 2)], [0, 1, 0])
     bad = g.replace(pairs=np.array([[1, 2], [0, 1]], dtype=np.int64))

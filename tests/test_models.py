@@ -280,3 +280,90 @@ def test_forward_counter_increments():
     forward(p, g)
     assert models.FORWARD_CALLS == 2
     models.reset_forward_calls()
+
+
+# ---------------------------------------------------------------------------
+# the cached first-layer propagation
+
+def _trainable(g):
+    tr = g.train_mask.copy()
+    tr[0] = True
+    return g.replace(train_mask=tr)
+
+
+_CACHE_EXAMPLES = (
+    # no edges at all; and node 3 isolated beside a path
+    _twin_case(4, [], [0, 1, 1, 0], np.arange(8.0), [0, 1, 0, 1], [1, 2, 3, 0], 0),
+    _twin_case(4, [(0, 1), (1, 2)], [1, 0, 1, 1], -np.arange(8.0), [1, 1, 0, 0],
+               [1, 1, 2, 3], 2),
+)
+
+
+def _cache_case(test):
+    test = settings(max_examples=40, deadline=None)(test)
+    for g in _CACHE_EXAMPLES:
+        for arch in models.ARCHITECTURES:
+            test = example(g=g, arch=arch, depth=2)(test)
+    return given(g=_twin_graphs(), arch=st.sampled_from(models.ARCHITECTURES),
+                 depth=st.integers(1, 3))(test)
+
+
+def _param_bytes(p):
+    return [t.values.tobytes() for t in p.parameters()]
+
+
+@_cache_case
+def test_train_with_one_adjacency_equals_fresh_adjacency_steps(g, arch, depth):
+    g, epochs = _trainable(g), 3
+    shared = init_params(arch, g.d, 4, depth, seed=depth)
+    train(shared, g, Adam(0.05), epochs)
+    fresh = init_params(arch, g.d, 4, depth, seed=depth)
+    opt = Adam(0.05)
+    for _ in range(epochs):
+        train_step(fresh, g, opt, adj=NormalizedAdjacency(g))
+    # equal feature values in another array: layer 0 is propagated per forward
+    uncached, copy = init_params(arch, g.d, 4, depth, seed=depth), \
+        g.replace(features=g.features.copy())
+    opt, adj = Adam(0.05), NormalizedAdjacency(g)
+    for _ in range(epochs):
+        train_step(uncached, copy, opt, adj=adj)
+    assert _param_bytes(shared) == _param_bytes(fresh) == _param_bytes(uncached)
+
+
+@_cache_case
+def test_warm_adjacency_logits_equal_cold(g, arch, depth):
+    p = init_params(arch, g.d, 4, depth, seed=depth)
+    adj = NormalizedAdjacency(g)
+    cold = forward(p, g, adj=adj).values
+    warm = forward(p, g, adj=adj).values
+    copy = forward(p, g.replace(features=g.features.copy()), adj=adj).values
+    assert cold.tobytes() == warm.tobytes() == copy.tobytes()
+    if arch != "appnp":
+        cached = adj.first_layer(arch)
+        assert cached is adj.first_layer(arch)
+        assert not cached.requires_grad and not cached.values.flags.writeable
+
+
+@_cache_case
+def test_warm_adjacency_serves_only_its_hosts_features(g, arch, depth):
+    # a same-edge graph with other features shares the adjacency, not its cache
+    p = init_params(arch, g.d, 4, depth, seed=depth)
+    adj = NormalizedAdjacency(g)
+    forward(p, g, adj=adj)
+    other = g.replace(features=g.features + 1.0)
+    assert forward(p, other, adj=adj).values.tobytes() == \
+        forward(p, other).values.tobytes()
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_masked_forward_skips_cache(arch):
+    g = random_graph(9, 0.4, 7)
+    p = init_params(arch, g.d, 8, 2, seed=3)
+    mask = ScoreMatrix(g)
+    mask.scores.values[::2] = -2.0
+    adj = NormalizedAdjacency(g)
+    forward(p, g, adj=adj)
+    # another features array: the reference propagates layer 0 itself
+    copy = g.replace(features=g.features.copy())
+    want = forward(p, copy, mask=mask, adj=NormalizedAdjacency(g)).values
+    assert forward(p, g, mask=mask, adj=adj).values.tobytes() == want.tobytes()
