@@ -236,12 +236,6 @@ def _split_graph(base: Graph, seed: int) -> Graph:
     return g.replace(features=feats)
 
 
-def _build_graph(cfg: ExperimentConfig, seed: int) -> Graph:
-    """The experiment graph for one seed: every way the data can be unusable
-    surfaces as DataError, before any training."""
-    return _split_graph(_load_graph(cfg), seed)
-
-
 def _train_one(cfg: ExperimentConfig, graph: Graph, lr: float, hidden: int,
                depth: int, seed: int):
     params = models.init_params(cfg.model, graph.d, hidden, depth, seed)

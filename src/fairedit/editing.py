@@ -109,13 +109,13 @@ def generate_counterfactual_graph(graph: Graph, rho: float, gamma: float,
 
 def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
                             mask_iters: int = 5, mask_lr: float = 0.01,
-                            binarize_threshold: float = 0.5,
-                            adj_g: models.NormalizedAdjacency | None = None):
+                            binarize_threshold: float = 0.5):
     """Refine sigmoid edge masks on both graphs to maximize the L1 prediction
     gap between them, then read each edit's importance as the magnitude of the
     last-iteration score gradient: added edges from the perturbed graph's
-    mask, deleted edges from the original graph's mask. `adj_g`, the
-    caller's adjacency of `graph`, is reused when given.
+    mask, deleted edges from the original graph's mask. Each graph's
+    forwards share the adjacency in that graph's memo, so a caller that has
+    already run `graph` forward pays for no new one.
 
     Returns (importance map, number of model forwards measured in
     models.FORWARD_CALLS while refining)."""
@@ -130,9 +130,6 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
 
     mask_g = models.ScoreMatrix(graph)
     mask_s = models.ScoreMatrix(gstar)
-    if adj_g is None:
-        adj_g = models.NormalizedAdjacency(graph)
-    adj_s = models.NormalizedAdjacency(gstar)
 
     # only the masks learn: freeze model parameters for the refinement loop
     tensors = params.parameters()
@@ -144,8 +141,8 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
         grad_g = np.zeros_like(mask_g.scores.values)
         grad_s = np.zeros_like(mask_s.scores.values)
         for _ in range(mask_iters):
-            out_g = models.forward(params, graph, mask=mask_g, adj=adj_g)
-            out_s = models.forward(params, gstar, mask=mask_s, adj=adj_s)
+            out_g = models.forward(params, graph, mask=mask_g)
+            out_s = models.forward(params, gstar, mask=mask_s)
             ad.backward(ad.l1_diff(out_g, out_s))
             # gradient ascent on the gap, then binarize for the next forward
             grad_g = mask_g.ascend(mask_lr, binarize_threshold)
@@ -184,15 +181,13 @@ def train_bruteforce(params, graph: Graph, optimizer, config: EditTrainConfig):
             f"candidate_cap={config.candidate_cap}")
     trace = EditTrace()
     g = graph
-    adj = models.NormalizedAdjacency(g)
     for k in range(1, config.K + 1):
         start = models.FORWARD_CALLS
-        models.train_step(params, g, optimizer, adj=adj)
+        models.train_step(params, g, optimizer)
         if k <= config.alpha:
             cands = candidate_edits(g, Exhaustive())
             edit, score = brute_force_select(params, g, cands, _eval_mask(g, config))
             g = apply_edit(g, edit)
-            adj = models.NormalizedAdjacency(g)
             trace.entries.append(TraceEntry(k, edit, score))
             trace.selection_forwards[k] = models.FORWARD_CALLS - start
     return params, g, trace
@@ -205,9 +200,8 @@ def train_fairedit(params, graph: Graph, optimizer, config: EditTrainConfig):
     config.validate()
     trace = EditTrace()
     g = graph
-    adj = models.NormalizedAdjacency(g)
     for k in range(1, config.K + 1):
-        models.train_step(params, g, optimizer, adj=adj)
+        models.train_step(params, g, optimizer)
         if k <= config.alpha:
             epoch_seed = config.seed * 1_000_003 + k
             gstar, edits = generate_counterfactual_graph(
@@ -218,10 +212,9 @@ def train_fairedit(params, graph: Graph, optimizer, config: EditTrainConfig):
             scores, n_fwd = edge_sensitivity_scores(
                 params, g, gstar, edits,
                 mask_iters=config.mask_iters, mask_lr=config.mask_lr,
-                binarize_threshold=config.binarize_threshold, adj_g=adj)
+                binarize_threshold=config.binarize_threshold)
             edit = select_edit(scores)
             g = apply_edit(g, edit)
-            adj = models.NormalizedAdjacency(g)
             trace.entries.append(TraceEntry(k, edit, scores[edit]))
             trace.selection_forwards[k] = n_fwd
     return params, g, trace

@@ -99,11 +99,11 @@ class Graph:
         features = np.asarray(features, dtype=np.float64)
         sensitive = np.asarray(sensitive, dtype=np.int64)
         labels = np.asarray(labels, dtype=np.int64)
-        n = features.shape[0]
 
         def _mask(m):
             if m is None:
-                return np.zeros(n, dtype=bool)
+                # shape (n,); validate() refuses features that are not (n, d)
+                return np.zeros(features.shape[:1], dtype=bool)
             return np.asarray(m, dtype=bool)
 
         if not isinstance(edges, np.ndarray):
@@ -137,6 +137,8 @@ class Graph:
         return self.features.shape[1]
 
     def _cached(self, name: str, make):
+        """Memo of a value derived from this immutable graph, built on first
+        use; a graph made by `replace` or an edit starts with none."""
         value = self.__dict__.get(name)
         if value is None:
             value = make()
@@ -177,6 +179,8 @@ class Graph:
         return dataclasses.replace(self, **kw)
 
     def validate(self) -> None:
+        if self.features.ndim != 2:
+            raise GraphError("features must be a 2-D (n, d) array")
         n = self.n
         if self.sensitive.shape != (n,) or self.labels.shape != (n,):
             raise GraphError("sensitive/labels length must equal node count")
@@ -341,8 +345,8 @@ def _largest_remainder(fractions, total: int) -> list[int]:
 def split(n: int, fractions, labels, seed: int):
     """Label-stratified train/val/test masks, deterministic under seed."""
     fractions = tuple(float(f) for f in fractions)
-    if len(fractions) != 3 or any(f <= 0 for f in fractions):
-        raise GraphError("need three positive fractions")
+    if len(fractions) != 3 or not all(math.isfinite(f) and f > 0 for f in fractions):
+        raise GraphError("need three positive finite fractions")
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise GraphError("fractions must sum to 1")
     labels = np.asarray(labels)
@@ -447,8 +451,8 @@ def flip_sensitive(graph: Graph) -> Graph:
 
 
 def perturb_features(graph: Graph, sigma: float, seed: int) -> Graph:
-    if sigma < 0:
-        raise GraphError("sigma must be >= 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise GraphError("sigma must be finite and >= 0")
     rng = np.random.default_rng(seed)
     noise = rng.normal(0.0, sigma, size=graph.features.shape) if sigma > 0 \
         else np.zeros_like(graph.features)

@@ -31,17 +31,20 @@ def reset_forward_calls() -> int:
 
 class NormalizedAdjacency:
     """Per-edge coefficients of the self-loop-augmented, symmetrically
-    normalized adjacency D^-1/2 (A + I) D^-1/2, stored as directed arrays
-    (each undirected edge appears in both directions). The edge-score index
-    and the neighbor-mean coefficients are built on first use, since only
-    masked and SAGE forwards read them.
+    normalized adjacency D^-1/2 (A + I) D^-1/2 of a graph, stored as directed
+    arrays (each undirected edge appears in both directions). The edge-score
+    index and the neighbor-mean coefficients are built on first use, since
+    only masked and SAGE forwards read them.
 
-    The unmasked first-layer propagation of the host's features uses no model
-    parameters, so it is also computed on first use and then shared by every
-    unmasked GCN or SAGE forward on a graph with the host's features array."""
+    The unmasked first-layer propagation of the graph's features uses no
+    model parameters, so it is also computed on first use and then shared.
+    `forward` keeps one adjacency per Graph, in the graph's memo; the
+    adjacency keeps the graph's features and edge count, not the graph, so
+    the memo makes no reference cycle and a dropped graph is freed at once."""
 
     def __init__(self, graph: Graph):
-        self.host = graph
+        self.features = graph.features
+        self.m = len(graph.pairs)
         self.deg = deg = graph.degrees()
         u, v = graph.pairs[:, 0], graph.pairs[:, 1]
         c = 1.0 / np.sqrt((deg[u] + 1.0) * (deg[v] + 1.0))
@@ -53,8 +56,7 @@ class NormalizedAdjacency:
 
     @cached_property
     def score_idx(self) -> np.ndarray:
-        m = len(self.host.pairs)
-        return np.concatenate([np.arange(m), np.arange(m)])
+        return np.concatenate([np.arange(self.m), np.arange(self.m)])
 
     @cached_property
     def mean_coef(self) -> np.ndarray:
@@ -63,11 +65,11 @@ class NormalizedAdjacency:
         return 1.0 / safe[self.dst].astype(np.float64)
 
     def first_layer(self, architecture: str) -> Tensor:
-        """Layer 0 of an unmasked GCN or SAGE model on the host's features,
+        """Layer 0 of an unmasked GCN or SAGE model on the graph's features,
         before its weights; computed on first use, then shared."""
         out = self._first_layer.get(architecture)
         if out is None:
-            out = _PROPAGATE[architecture](Tensor(self.host.features), self, {})
+            out = _PROPAGATE[architecture](Tensor(self.features), self, {})
             out.values.flags.writeable = False   # no forward may write into it
             self._first_layer[architecture] = out
         return out
@@ -127,9 +129,13 @@ def init_params(architecture: str, in_dim: int, hidden: int, depth: int,
         raise GraphError(f"unknown architecture {architecture!r}")
     if depth < 1:
         raise GraphError("depth must be >= 1")
-    if not (0.0 < tau < 1.0) and architecture == "appnp":
-        if tau != 1.0:  # tau = 1 allowed as the no-propagation edge case
-            raise GraphError("tau must lie in (0, 1]")
+    if hidden < 1:
+        raise GraphError("hidden must be >= 1")
+    if power_iters < 0:
+        raise GraphError("power_iters must be >= 0")
+    # tau = 1 is allowed as the no-propagation edge case
+    if architecture == "appnp" and not (0.0 < tau <= 1.0):
+        raise GraphError("tau must lie in (0, 1]")
     rng = np.random.default_rng(seed)
     dims = [in_dim] + [hidden] * (depth - 1) + [1]
     weights, biases = [], []
@@ -194,31 +200,26 @@ def _appnp(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -
 
 
 def forward(params: ModelParams, graph: Graph,
-            mask: ScoreMatrix | None = None,
-            adj: NormalizedAdjacency | None = None) -> Tensor:
+            mask: ScoreMatrix | None = None) -> Tensor:
     """Logits of the model on `graph`, optionally through an edge-score mask
-    of the same graph. `adj` is reused when given; it must belong to `graph`.
-    An unmasked GCN or SAGE forward takes its first-layer propagation from
-    `adj` when `graph` has the features array of `adj`'s host; a graph that
-    only shares the edges propagates its own features.
-    Every call counts one model forward in FORWARD_CALLS."""
+    of the same graph. The normalized adjacency is built on the graph's first
+    forward and kept in its memo, so every later forward on the same Graph
+    value reuses it. An unmasked GCN or SAGE forward takes its first-layer
+    propagation from the adjacency's cache; a masked one propagates layer 0
+    itself. Every call counts one model forward in FORWARD_CALLS."""
     global FORWARD_CALLS
     FORWARD_CALLS += 1
-    if adj is None:
-        adj = NormalizedAdjacency(graph)
-    elif not _same_graph(adj.host, graph):
-        raise GraphError("adjacency was built from a different graph")
+    adj = graph._cached("_adj", lambda: NormalizedAdjacency(graph))
     mk = {}
     if mask is not None:
         if not _same_graph(mask.host, graph):
-            raise GraphError("score mask host does not match the adjacency's graph")
+            raise GraphError("score mask host does not match the forward's graph")
         mk = {"scores": mask.scores, "score_idx": adj.score_idx,
               "active": mask.active[adj.score_idx] if len(adj.score_idx) else None}
     h = Tensor(graph.features)
     if params.architecture == "appnp":
         return _appnp(params, h, adj, mk)
-    return _message_passing(params, h, adj, mk,
-                            cached=not mk and graph.features is adj.host.features)
+    return _message_passing(params, h, adj, mk, cached=mask is None)
 
 
 def predict(logits) -> np.ndarray:
@@ -227,13 +228,12 @@ def predict(logits) -> np.ndarray:
     return (vals[:, 0] > 0).astype(np.int64)
 
 
-def train_step(params: ModelParams, graph: Graph, optimizer,
-               adj: NormalizedAdjacency | None = None) -> float:
+def train_step(params: ModelParams, graph: Graph, optimizer) -> float:
     """One forward, BCE on training nodes, backward, optimizer step.
     Returns the pre-step loss."""
     if not graph.train_mask.any():
         raise GraphError("train_step: empty training mask")
-    logits = forward(params, graph, adj=adj)
+    logits = forward(params, graph)
     loss = ad.bce_with_logits(logits, graph.labels, graph.train_mask)
     value = loss.item()
     ad.backward(loss)
@@ -243,5 +243,4 @@ def train_step(params: ModelParams, graph: Graph, optimizer,
 
 def train(params: ModelParams, graph: Graph, optimizer, epochs: int) -> list[float]:
     """Plain training loop: `epochs` optimizer steps, no graph editing."""
-    adj = NormalizedAdjacency(graph)
-    return [train_step(params, graph, optimizer, adj=adj) for _ in range(epochs)]
+    return [train_step(params, graph, optimizer) for _ in range(epochs)]

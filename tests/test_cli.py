@@ -164,14 +164,14 @@ def test_run_leaves_edit_config_unchanged(tmp_path):
 
 def test_grid_selection_by_val_f1():
     from fairedit import models
-    from fairedit.cli import _build_graph, _train_one
+    from fairedit.cli import _load_graph, _split_graph, _train_one
     from fairedit.metrics import f1_score
     cfg = parse_config(None, _small_overrides(lr="0.01,1e-9", k="60", seed="0"))
     reports, aggregate, best, traces = run_experiment(cfg)
     # recompute each grid point's validation F1 and check the argmax won
     val = {}
     for lr in cfg.lrs:
-        g = _build_graph(cfg, 0)
+        g = _split_graph(_load_graph(cfg), 0)
         params, gf, _ = _train_one(cfg, g, lr, 8, 2, 0)
         pred = models.predict(models.forward(params, gf))
         val[lr] = f1_score(pred, gf.labels, gf.val_mask)

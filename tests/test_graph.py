@@ -161,6 +161,15 @@ def test_split_bad_fractions():
         split(10, (0.9, 0.9, 0.9), np.zeros(10, dtype=int), seed=0)
 
 
+@pytest.mark.parametrize("fractions", [
+    (float("nan"), 0.5, 0.5),
+    (0.5, float("inf"), 0.5),
+])
+def test_split_non_finite_fractions(fractions):
+    with pytest.raises(GraphError, match="finite"):
+        split(10, fractions, np.zeros(10, dtype=int), seed=0)
+
+
 def test_split_tiny_class():
     labels = np.array([0] * 10 + [1] * 2)
     with pytest.raises(GraphError, match="fewer nodes"):
@@ -235,6 +244,13 @@ def test_perturb_sensitive_untouched(triangle_graph):
 def test_perturb_negative_sigma(triangle_graph):
     with pytest.raises(GraphError):
         perturb_features(triangle_graph, -0.1, seed=0)
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_perturb_non_finite_sigma(triangle_graph, sigma):
+    # nan would make every feature nan, inf every feature +-inf
+    with pytest.raises(GraphError, match="sigma"):
+        perturb_features(triangle_graph, sigma, seed=0)
 
 
 # ---------------------------------------------------------------------------
@@ -531,6 +547,16 @@ def test_build_rejects_non_integral_ids(edges):
 ])
 def test_build_accepts_integral_ids(edges):
     assert _build(3, edges, [0, 1, 0]).edges == ((0, 1), (1, 2))
+
+
+@pytest.mark.parametrize("features", [
+    np.float64(1.0),
+    np.ones(3),
+    np.ones((3, 2, 1)),
+])
+def test_build_rejects_features_not_2d(features):
+    with pytest.raises(GraphError, match="2-D"):
+        Graph.build(features, [], [0, 1, 0], [0, 0, 1], 0)
 
 
 def test_validate_rejects_unsorted_array():

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairedit.autodiff import Tensor
-from fairedit.graph import Graph, flip_sensitive
+from fairedit.graph import Graph, GraphError, flip_sensitive
 from fairedit.metrics import (FairnessReport, MetricUndefinedError,
                               counterfactual_unfairness, delta_eo, delta_sp,
                               evaluate, f1_score, instability)
@@ -184,6 +184,14 @@ def test_instability_sigma_zero():
     g = random_graph(8, 0.4, 2)
     params = init_params("gcn", g.d, 8, 2, seed=0)
     assert instability(params, g, np.ones(8, dtype=bool), sigma=0.0) == 0.0
+
+
+@pytest.mark.parametrize("sigma", [float("nan"), float("inf")])
+def test_instability_non_finite_sigma(sigma):
+    g = random_graph(8, 0.4, 0)
+    params = init_params("gcn", g.d, 4, 2, seed=0)
+    with pytest.raises(GraphError, match="sigma"):
+        instability(params, g, np.ones(8, dtype=bool), sigma=sigma)
 
 
 def test_instability_deterministic():

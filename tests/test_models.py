@@ -1,11 +1,16 @@
+import gc
+import weakref
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairedit.models as models
-from fairedit.autodiff import Adam, SGD
-from fairedit.graph import (Graph, GraphError, SyntheticSpec, counterfactual_twin,
+from fairedit.autodiff import SGD, Adam, Tensor
+from fairedit.graph import (EdgeEdit, Graph, GraphError, SyntheticSpec,
+                            apply_edit, counterfactual_twin,
                             disjoint_union, flip_sensitive, synth_biased_graph,
                             with_split)
 from fairedit.models import (SATURATING_SCORE, NormalizedAdjacency,
@@ -107,18 +112,6 @@ def test_mask_host_mismatch():
     mask = ScoreMatrix(other)
     with pytest.raises(GraphError, match="host"):
         forward(p, g, mask=mask)
-
-
-def test_adjacency_of_another_graph_rejected():
-    g = random_graph(6, 0.5, 0)
-    other = random_graph(6, 0.5, 99)
-    p = init_params("gcn", g.d, 8, 2, seed=0)
-    with pytest.raises(GraphError, match="adjacency"):
-        forward(p, g, adj=NormalizedAdjacency(other))
-    # the adjacency depends on the edges only, so a same-edge copy may share it
-    twin = g.replace(features=g.features + 1.0)
-    np.testing.assert_array_equal(forward(p, twin, adj=NormalizedAdjacency(g)).values,
-                                  forward(p, twin).values)
 
 
 def test_sage_isolated_node_self_only():
@@ -282,13 +275,53 @@ def test_forward_counter_increments():
     models.reset_forward_calls()
 
 
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+@pytest.mark.parametrize("kw, msg", [
+    ({"hidden": 0}, "hidden"),
+    ({"hidden": -3, "depth": 1}, "hidden"),
+    ({"power_iters": -1}, "power_iters"),
+])
+def test_init_params_rejects_bad_sizes(arch, kw, msg):
+    args = {"hidden": 4, "depth": 2, **kw}
+    with pytest.raises(GraphError, match=msg):
+        init_params(arch, 3, seed=0, **args)
+
+
 # ---------------------------------------------------------------------------
-# the cached first-layer propagation
+# the adjacency memo and its cached first-layer propagation
 
 def _trainable(g):
     tr = g.train_mask.copy()
     tr[0] = True
     return g.replace(train_mask=tr)
+
+
+def _memo(g):
+    """The adjacency a forward left in `g`'s memo, or None."""
+    return g.__dict__.get("_adj")
+
+
+@contextmanager
+def _adjacency_builds():
+    """Collects one entry per NormalizedAdjacency built inside the block."""
+    built, init = [], NormalizedAdjacency.__init__
+
+    def counting(self, graph):
+        built.append(len(built))
+        init(self, graph)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NormalizedAdjacency, "__init__", counting)
+        yield built
+
+
+@contextmanager
+def _uncached_first_layer():
+    """Every forward inside the block propagates layer 0 itself."""
+    def propagate(adj, architecture):
+        return models._PROPAGATE[architecture](Tensor(adj.features), adj, {})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(NormalizedAdjacency, "first_layer", propagate)
+        yield
 
 
 _CACHE_EXAMPLES = (
@@ -316,54 +349,93 @@ def _param_bytes(p):
 def test_train_with_one_adjacency_equals_fresh_adjacency_steps(g, arch, depth):
     g, epochs = _trainable(g), 3
     shared = init_params(arch, g.d, 4, depth, seed=depth)
-    train(shared, g, Adam(0.05), epochs)
+    with _adjacency_builds() as built:
+        train(shared, g, Adam(0.05), epochs)
+    assert len(built) == 1
+    # a new Graph value per step: a new adjacency and a cold layer 0 each time
     fresh = init_params(arch, g.d, 4, depth, seed=depth)
     opt = Adam(0.05)
     for _ in range(epochs):
-        train_step(fresh, g, opt, adj=NormalizedAdjacency(g))
-    # equal feature values in another array: layer 0 is propagated per forward
-    uncached, copy = init_params(arch, g.d, 4, depth, seed=depth), \
-        g.replace(features=g.features.copy())
-    opt, adj = Adam(0.05), NormalizedAdjacency(g)
-    for _ in range(epochs):
-        train_step(uncached, copy, opt, adj=adj)
+        train_step(fresh, g.replace(features=g.features.copy()), opt)
+    uncached = init_params(arch, g.d, 4, depth, seed=depth)
+    with _uncached_first_layer():
+        train(uncached, g, Adam(0.05), epochs)
     assert _param_bytes(shared) == _param_bytes(fresh) == _param_bytes(uncached)
 
 
 @_cache_case
 def test_warm_adjacency_logits_equal_cold(g, arch, depth):
+    g = g.replace()     # the explicit examples are shared: start with no memo
     p = init_params(arch, g.d, 4, depth, seed=depth)
-    adj = NormalizedAdjacency(g)
-    cold = forward(p, g, adj=adj).values
-    warm = forward(p, g, adj=adj).values
-    copy = forward(p, g.replace(features=g.features.copy()), adj=adj).values
-    assert cold.tobytes() == warm.tobytes() == copy.tobytes()
+    with _adjacency_builds() as built:
+        cold = forward(p, g).values
+        warm = forward(p, g).values
+    assert len(built) == 1
+    copy = forward(p, g.replace(features=g.features.copy())).values
+    with _uncached_first_layer():
+        uncached = forward(p, g).values
+    assert cold.tobytes() == warm.tobytes() == copy.tobytes() == uncached.tobytes()
     if arch != "appnp":
-        cached = adj.first_layer(arch)
-        assert cached is adj.first_layer(arch)
+        cached = _memo(g).first_layer(arch)
+        assert cached is _memo(g).first_layer(arch)
         assert not cached.requires_grad and not cached.values.flags.writeable
 
 
-@_cache_case
-def test_warm_adjacency_serves_only_its_hosts_features(g, arch, depth):
-    # a same-edge graph with other features shares the adjacency, not its cache
-    p = init_params(arch, g.d, 4, depth, seed=depth)
-    adj = NormalizedAdjacency(g)
-    forward(p, g, adj=adj)
-    other = g.replace(features=g.features + 1.0)
-    assert forward(p, other, adj=adj).values.tobytes() == \
-        forward(p, other).values.tobytes()
+def test_derived_graphs_start_without_adjacency():
+    g = random_graph(9, 0.4, 7)
+    p = init_params("gcn", g.d, 8, 2, seed=3)
+    forward(p, g)
+    assert _memo(g) is not None
+    u, v = map(int, g.pairs[0])
+    derived = {
+        "replace": g.replace(),
+        "replace(features)": g.replace(features=g.features + 1.0),
+        "apply_edit delete": apply_edit(g, EdgeEdit.delete(u, v)),
+        "apply_edit add": apply_edit(g, EdgeEdit.add(*next(
+            (a, b) for a in range(g.n) for b in range(a + 1, g.n)
+            if (a, b) not in g.edge_set))),
+        "counterfactual_twin": counterfactual_twin(g),
+    }
+    for name, h in derived.items():
+        assert _memo(h) is None, name
+        rebuilt = Graph.build(h.features, h.pairs, h.sensitive, h.labels,
+                              h.sensitive_col, h.train_mask, h.val_mask, h.test_mask)
+        assert forward(p, h).values.tobytes() == forward(p, rebuilt).values.tobytes(), name
 
 
 @pytest.mark.parametrize("arch", models.ARCHITECTURES)
-def test_masked_forward_skips_cache(arch):
+def test_masked_forward_skips_cache(arch, monkeypatch):
     g = random_graph(9, 0.4, 7)
     p = init_params(arch, g.d, 8, 2, seed=3)
     mask = ScoreMatrix(g)
     mask.scores.values[::2] = -2.0
-    adj = NormalizedAdjacency(g)
-    forward(p, g, adj=adj)
-    # another features array: the reference propagates layer 0 itself
-    copy = g.replace(features=g.features.copy())
-    want = forward(p, copy, mask=mask, adj=NormalizedAdjacency(g)).values
-    assert forward(p, g, mask=mask, adj=adj).values.tobytes() == want.tobytes()
+    with _uncached_first_layer():
+        want = forward(p, g, mask=mask).values
+    forward(p, g)       # warms the layer-0 cache of gcn and sage
+
+    def refuse(adj, architecture):
+        raise AssertionError("a masked forward took the layer-0 cache")
+    monkeypatch.setattr(NormalizedAdjacency, "first_layer", refuse)
+    assert forward(p, g, mask=mask).values.tobytes() == want.tobytes()
+    assert forward(p, g.replace(), mask=mask).values.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_forwarded_graph_is_freed_without_gc(arch):
+    # the memo holds the adjacency; were the adjacency to refer back to the
+    # graph, every dropped graph would wait for a full garbage collection
+    g = _trainable(random_graph(9, 0.4, 7))
+    p = init_params(arch, g.d, 8, 2, seed=3)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        forward(p, g)
+        forward(p, g, mask=ScoreMatrix(g))
+        train(p, g, SGD(0.1), 2)
+        assert _memo(g) is not None
+        ref = weakref.ref(g)
+        del g
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()
