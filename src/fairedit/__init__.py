@@ -5,11 +5,12 @@ from .editing import (CandidateCapExceeded, EditTrace, EditTrainConfig,
                       brute_force_select, edge_sensitivity_scores,
                       generate_counterfactual_graph, select_edit,
                       train_bruteforce, train_fairedit)
-from .graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
-                    Sampled, SyntheticSpec, apply_edit, apply_edits,
-                    candidate_edits, counterfactual_twin, flip_sensitive,
-                    load_edge_list, load_node_table, normalize_features,
-                    perturb_features, save_edge_list, split,
+from .graph import (EdgeEdit, EditBatch, EditKind, Exhaustive, Graph,
+                    GraphError, Sampled, SyntheticSpec, apply_edit,
+                    apply_edits, apply_pair, candidate_edits,
+                    counterfactual_twin, flip_sensitive, load_edge_list,
+                    load_node_table, normalize_features, perturb_features,
+                    save_edge_list, split,
                     synth_biased_graph, with_split)
 from .metrics import (FairnessReport, MetricUndefinedError,
                       counterfactual_unfairness, delta_eo, delta_sp,
@@ -26,8 +27,9 @@ __all__ = [
     "generate_counterfactual_graph", "select_edit", "train_bruteforce",
     "train_fairedit",
     # graph
-    "EdgeEdit", "EditKind", "Exhaustive", "Graph", "GraphError", "Sampled",
-    "SyntheticSpec", "apply_edit", "apply_edits", "candidate_edits",
+    "EdgeEdit", "EditBatch", "EditKind", "Exhaustive", "Graph", "GraphError",
+    "Sampled", "SyntheticSpec", "apply_edit", "apply_edits", "apply_pair",
+    "candidate_edits",
     "counterfactual_twin", "flip_sensitive", "load_edge_list",
     "load_node_table", "normalize_features", "perturb_features",
     "save_edge_list", "split", "synth_biased_graph", "with_split",

@@ -9,8 +9,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import models
-from .graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
-                    Sampled, apply_edit, apply_edits, candidate_edits)
+from .graph import (ADD, EdgeEdit, EditBatch, Exhaustive, Graph, GraphError,
+                    Sampled, apply_edit, apply_edits, apply_pair, candidate_edits)
 from .metrics import counterfactual_unfairness
 
 
@@ -80,20 +80,23 @@ def _eval_mask(graph: Graph, config: EditTrainConfig):
 # Brute-force selection
 
 def brute_force_select(params, graph: Graph, candidates, eval_mask):
-    """Evaluate counterfactual unfairness of every candidate edit under the
-    current parameters; return (edit, score) minimizing it. Ties break by
+    """Evaluate counterfactual unfairness of every candidate edit (an
+    `EditBatch`, or `EdgeEdit`s) under the current parameters, walking the
+    batch rows; return (edit, score) minimizing it. Ties break by
     (Delete < Add, u, v)."""
+    candidates = EditBatch.of(candidates)
     if not candidates:
         raise GraphError("brute_force_select: empty candidate list")
     best = None
-    for cand in candidates:
-        edited = apply_edit(graph, cand)
+    rows = zip(candidates.kinds.tolist(), candidates.pairs.tolist())
+    for i, (kind, (u, v)) in enumerate(rows):
+        edited = apply_pair(graph, kind == ADD, u, v)
         fc = counterfactual_unfairness(params, edited, eval_mask)
-        key = (fc, cand.sort_key)
+        key = (fc, kind, u, v)
         if best is None or key < best[0]:
-            best = (key, cand)
-    (score, _), edit = best
-    return edit, score
+            best = (key, i)
+    (score, *_), i = best
+    return candidates.edit(i), score
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +105,14 @@ def brute_force_select(params, graph: Graph, candidates, eval_mask):
 def generate_counterfactual_graph(graph: Graph, rho: float, gamma: float,
                                   seed: int):
     """Sample cross-group additions (prob rho) and intra-group deletions
-    (prob gamma); returns the perturbed graph and the applied edit list."""
+    (prob gamma); returns the perturbed graph and the applied `EditBatch`."""
     edits = candidate_edits(graph, Sampled(rho, gamma, seed))
-    return apply_edits(graph, edits), edits
+    gstar = apply_edits(graph, edits)
+    if gstar is not graph:
+        # gstar is graph under edits by construction (the batch's arrays are
+        # read-only): edge_sensitivity_scores need not replay them to check it
+        gstar._cached("_edited_from", lambda: (graph, edits))
+    return gstar, edits
 
 
 def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
@@ -117,16 +125,23 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
     forwards share the adjacency in that graph's memo, so a caller that has
     already run `graph` forward pays for no new one.
 
-    Returns (importance map, number of model forwards measured in
-    models.FORWARD_CALLS while refining)."""
-    try:
-        expected = apply_edits(graph, edits)
-    except GraphError as e:
-        raise GraphError(f"edit list inconsistent with graphs: {e}") from e
-    if not np.array_equal(expected.keys, gstar.keys):
-        raise GraphError("edit list does not map the graph onto its perturbation")
+    `edits` (an `EditBatch`, or `EdgeEdit`s) must map `graph` onto `gstar`;
+    this is checked by applying them, unless `gstar` is the graph that
+    `generate_counterfactual_graph` made from `graph` and this very batch.
+
+    Returns (importance array aligned with the batch rows, number of model
+    forwards measured in models.FORWARD_CALLS while refining)."""
+    edits = EditBatch.of(edits)
+    source = gstar.__dict__.get("_edited_from")
+    if source is None or source[0] is not graph or source[1] is not edits:
+        try:
+            expected = apply_edits(graph, edits)
+        except GraphError as e:
+            raise GraphError(f"edit list inconsistent with graphs: {e}") from e
+        if not np.array_equal(expected.keys, gstar.keys):
+            raise GraphError("edit list does not map the graph onto its perturbation")
     if not edits:
-        return {}, 0
+        return np.zeros(0), 0
 
     mask_g = models.ScoreMatrix(graph)
     mask_s = models.ScoreMatrix(gstar)
@@ -152,19 +167,20 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
             t.requires_grad = f
 
     # a mask's score rows follow its host graph's edge rows
-    uv = np.array([e.endpoints for e in edits], dtype=np.int64)
-    add = np.array([e.kind is EditKind.ADD for e in edits])
+    uv, add = edits.pairs, edits.kinds == ADD
     importance = np.empty(len(edits))
     importance[add] = np.abs(grad_s[gstar.edge_rows(uv[add, 0], uv[add, 1]), 0])
     importance[~add] = np.abs(grad_g[graph.edge_rows(uv[~add, 0], uv[~add, 1]), 0])
-    return dict(zip(edits, importance.tolist())), models.FORWARD_CALLS - start
+    return importance, models.FORWARD_CALLS - start
 
 
-def select_edit(scores: dict) -> EdgeEdit:
-    """Argmax of importance; ties break by (Delete < Add, u, v)."""
-    if not scores:
-        raise GraphError("select_edit: empty score map")
-    return min(scores, key=lambda e: (-scores[e], e.sort_key))
+def select_edit(edits: EditBatch, importance: np.ndarray) -> int:
+    """Row of `edits` with the largest `importance` (an array aligned with
+    its rows); ties break by (Delete < Add, u, v), all in one `np.lexsort`."""
+    if not edits:
+        raise GraphError("select_edit: empty edit batch")
+    uv = edits.pairs
+    return int(np.lexsort((uv[:, 1], uv[:, 0], edits.kinds, -importance))[0])
 
 
 # ---------------------------------------------------------------------------
@@ -209,12 +225,13 @@ def train_fairedit(params, graph: Graph, optimizer, config: EditTrainConfig):
             if not edits:
                 trace.skipped_epochs.append(k)
                 continue
-            scores, n_fwd = edge_sensitivity_scores(
+            importance, n_fwd = edge_sensitivity_scores(
                 params, g, gstar, edits,
                 mask_iters=config.mask_iters, mask_lr=config.mask_lr,
                 binarize_threshold=config.binarize_threshold)
-            edit = select_edit(scores)
+            i = select_edit(edits, importance)
+            edit = edits.edit(i)
             g = apply_edit(g, edit)
-            trace.entries.append(TraceEntry(k, edit, scores[edit]))
+            trace.entries.append(TraceEntry(k, edit, float(importance[i])))
             trace.selection_forwards[k] = n_fwd
     return params, g, trace

@@ -61,6 +61,52 @@ class EdgeEdit:
         return EdgeEdit(kind, self.u, self.v)
 
 
+# kind codes of an EditBatch row, in tie-break order: Delete before Add
+DELETE, ADD = 0, 1
+
+
+@dataclass(frozen=True, eq=False)
+class EditBatch:
+    """Edge edits as arrays, one row per edit (the edge-index layout of
+    PyG): `kinds` (k,) int8 holding DELETE or ADD, and `pairs` (k, 2) int64
+    with u < v in every row. `candidate_edits` returns its batches lexsorted
+    by (u, v), with read-only arrays; `edit(i)` is row i as an `EdgeEdit`."""
+
+    kinds: np.ndarray
+    pairs: np.ndarray
+
+    def __post_init__(self):
+        k, p = self.kinds, self.pairs
+        if k.dtype != np.int8 or k.ndim != 1 or p.dtype != np.int64 or \
+                p.shape != (len(k), 2):
+            raise GraphError("edit batch needs (k,) int8 kinds and (k, 2) int64 pairs")
+        if not ((k == DELETE) | (k == ADD)).all():
+            raise GraphError("edit kinds must be 0 (delete) or 1 (add)")
+        bad = p[:, 0] >= p[:, 1]
+        if bad.any():
+            u, v = p[int(np.argmax(bad))].tolist()
+            raise GraphError(f"self-loop edit on node {u}" if u == v
+                             else f"edit ({u}, {v}) not stored with u < v")
+
+    @staticmethod
+    def of(edits) -> "EditBatch":
+        """`edits` itself if it is a batch; else a batch of the given
+        `EdgeEdit`s, in their order."""
+        if isinstance(edits, EditBatch):
+            return edits
+        edits = list(edits)
+        kinds = np.array([e.kind is EditKind.ADD for e in edits], dtype=np.int8)
+        pairs = np.array([e.endpoints for e in edits], dtype=np.int64).reshape(-1, 2)
+        return EditBatch(kinds, pairs)
+
+    def __len__(self) -> int:
+        return len(self.kinds)
+
+    def edit(self, i: int) -> EdgeEdit:
+        u, v = self.pairs[i].tolist()
+        return EdgeEdit(EditKind.ADD if self.kinds[i] == ADD else EditKind.DELETE, u, v)
+
+
 def _lookup(keys: np.ndarray, query: np.ndarray):
     """Positions of `query` in the sorted array `keys`: (insertion positions,
     whether each query key is present)."""
@@ -181,6 +227,8 @@ class Graph:
     def validate(self) -> None:
         if self.features.ndim != 2:
             raise GraphError("features must be a 2-D (n, d) array")
+        if not np.isfinite(self.features).all():
+            raise GraphError("features must be finite (no nan or inf)")
         n = self.n
         if self.sensitive.shape != (n,) or self.labels.shape != (n,):
             raise GraphError("sensitive/labels length must equal node count")
@@ -386,62 +434,79 @@ def split(n: int, fractions, labels, seed: int):
 # ---------------------------------------------------------------------------
 # Edits and views
 
-def apply_edit(graph: Graph, edit: EdgeEdit) -> Graph:
-    """One edge added or deleted."""
-    return apply_edits(graph, (edit,))
-
-
-def apply_edits(graph: Graph, edits) -> Graph:
-    """Apply a batch of edits on distinct node pairs at once. The result
-    equals applying them one at a time; the batch is refused (GraphError,
-    `graph` untouched) if an endpoint is out of range, if two edits name the
-    same pair, or if an edit adds an existing edge or deletes a missing one,
-    checked in that order, each naming the first bad edit in input order."""
-    edits = list(edits)
-    if not edits:
-        return graph
-    n = graph.n
-    q, add = [], []
-    for e in edits:
-        if not (0 <= e.u < n and 0 <= e.v < n):
-            raise GraphError(f"edit endpoint out of range: {e.endpoints}")
-        q.append(e.u * n + e.v)
-        add.append(e.kind is EditKind.ADD)
-    q, add = np.array(q, dtype=np.int64), np.array(add)
-    if len(edits) > 1:
-        order = np.argsort(q, kind="stable")
-        sq = q[order]
-        repeat = sq[1:] == sq[:-1]
-        if repeat.any():
-            # a stable sort keeps each pair's edits in input order, so the
-            # repeats are the ones after the first of their run
-            i = int(order[1:][repeat].min())
-            raise GraphError(f"repeated edit of pair {edits[i].endpoints}")
-    pos, present = _lookup(graph.keys, q)
-    clash = present == add
-    if clash.any():
-        e = edits[int(np.argmax(clash))]
-        what = "Add of existing" if e.kind is EditKind.ADD else "Delete of missing"
-        raise GraphError(f"{what} edge {e.endpoints}")
-    if len(edits) == 1:
-        # splice the lone key and pair in (or out) at its lookup position
-        i, e = int(pos[0]), edits[0]
-        k, p = graph.keys, graph.pairs
-        if add[0]:
-            keys = np.concatenate([k[:i], q, k[i:]])
-            pairs = np.concatenate([p[:i], [[e.u, e.v]], p[i:]])
-        else:
-            keys = np.concatenate([k[:i], k[i + 1:]])
-            pairs = np.concatenate([p[:i], p[i + 1:]])
-    else:
-        keep = np.ones(len(graph.keys), dtype=bool)
-        keep[pos[~add]] = False
-        keys = np.sort(np.concatenate([graph.keys[keep], q[add]]))
-        pairs = np.empty((len(keys), 2), dtype=np.int64)
-        np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+def _with_edges(graph: Graph, pairs: np.ndarray, keys: np.ndarray) -> Graph:
     g = graph.replace(pairs=_readonly(pairs))
     object.__setattr__(g, "_keys", _readonly(keys))
     return g
+
+
+def apply_edit(graph: Graph, edit: EdgeEdit) -> Graph:
+    """One edge added or deleted."""
+    return apply_pair(graph, edit.kind is EditKind.ADD, edit.u, edit.v)
+
+
+def apply_pair(graph: Graph, add: bool, u: int, v: int) -> Graph:
+    """Pair u < v added (`add`) or deleted: a batch row applied alone,
+    checked as `apply_edits` checks it. Its key and pair are spliced in (or
+    out) at their lookup position."""
+    n = graph.n
+    if u >= v:
+        raise GraphError(f"edit ({u}, {v}) not stored with u < v")
+    if u < 0 or v >= n:
+        raise GraphError(f"edit endpoint out of range: {(u, v)}")
+    k, p = graph.keys, graph.pairs
+    key = u * n + v
+    i = int(np.searchsorted(k, key))
+    if (i < len(k) and k[i] == key) == add:
+        what = "Add of existing" if add else "Delete of missing"
+        raise GraphError(f"{what} edge {(u, v)}")
+    if add:
+        return _with_edges(graph, np.concatenate([p[:i], [[u, v]], p[i:]]),
+                           np.concatenate([k[:i], [key], k[i:]]))
+    return _with_edges(graph, np.concatenate([p[:i], p[i + 1:]]),
+                       np.concatenate([k[:i], k[i + 1:]]))
+
+
+def apply_edits(graph: Graph, edits) -> Graph:
+    """Apply an `EditBatch` (or `EdgeEdit`s, see `EditBatch.of`) on distinct
+    node pairs at once, with array operations only. The result equals
+    applying the edits one at a time; the batch is refused (GraphError,
+    `graph` untouched) if an endpoint is out of range, if two edits name the
+    same pair, or if an edit adds an existing edge or deletes a missing one,
+    checked in that order, each naming the first bad edit in row order."""
+    batch = EditBatch.of(edits)
+    if len(batch) == 1:
+        return apply_pair(graph, bool(batch.kinds[0] == ADD), *batch.pairs[0].tolist())
+    if not batch:
+        return graph
+    n = graph.n
+    u, v = batch.pairs[:, 0], batch.pairs[:, 1]
+
+    def refuse(bad, msg):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise GraphError(msg.format(int(u[i]), int(v[i])))
+
+    refuse((u < 0) | (v >= n), "edit endpoint out of range: ({}, {})")
+    q = u * n + v
+    add = batch.kinds == ADD
+    order = np.argsort(q, kind="stable")
+    repeat = np.zeros(len(q), dtype=bool)
+    # a stable sort keeps each pair's edits in row order, so the repeats are
+    # the ones after the first of their run
+    repeat[order[1:]] = q[order[1:]] == q[order[:-1]]
+    refuse(repeat, "repeated edit of pair ({}, {})")
+    pos, present = _lookup(graph.keys, q)
+    clash = present == add
+    if clash.any():
+        what = "Add of existing" if add[np.argmax(clash)] else "Delete of missing"
+        refuse(clash, what + " edge ({}, {})")
+    keep = np.ones(len(graph.keys), dtype=bool)
+    keep[pos[~add]] = False
+    keys = np.sort(np.concatenate([graph.keys[keep], q[add]]))
+    pairs = np.empty((len(keys), 2), dtype=np.int64)
+    np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
+    return _with_edges(graph, pairs, keys)
 
 
 def flip_sensitive(graph: Graph) -> Graph:
@@ -516,33 +581,75 @@ class Sampled:
             raise GraphError("rho and gamma must lie in [0, 1]")
 
 
-def candidate_edits(graph: Graph, policy) -> list[EdgeEdit]:
+# uniform draws per rng.random call of the cross-pair sampler: bounds its
+# memory, and leaves the stream unchanged (chunked draws equal one long draw)
+SAMPLE_CHUNK = 1 << 16
+
+
+def _batch(kinds: np.ndarray, pairs: np.ndarray) -> EditBatch:
+    return EditBatch(_readonly(kinds.astype(np.int8, copy=False)), _readonly(pairs))
+
+
+def _sampled_adds(graph: Graph, rho: float, rng) -> np.ndarray:
+    """The absent cross-group pairs drawn with probability rho, one uniform
+    draw per pair in row-major upper-triangle order, as (k, 2) rows in that
+    order. The cross pairs are indexed implicitly; no n x n array is built."""
+    n, s = graph.n, graph.sensitive
+    # `part` lists group 1's nodes, then group 0's; the partners of row u (the
+    # other group's nodes after u) are part[first[u]:stop[u]]
+    part = np.concatenate([np.flatnonzero(s == 1), np.flatnonzero(s == 0)])
+    at = np.empty(n, dtype=np.int64)
+    at[part] = np.arange(n)
+    n1, ones = int(np.count_nonzero(s)), np.cumsum(s)   # ones: group 1 up to u
+    first = np.where(s == 0, ones, n1 + np.arange(1, n + 1) - ones)
+    stop = np.where(s == 0, n1, n)
+    end = np.cumsum(stop - first)
+    # cross pair (u, part[i]) has index i + shift[u] in row-major order
+    shift = end - stop
+    p = graph.pairs
+    cu, cv = p[s[p[:, 0]] != s[p[:, 1]]].T
+    # indices of the present cross edges, increasing as the edges are lexsorted
+    present = shift[cu] + at[cv]
+    absent = (int(end[-1]) if n else 0) - len(present)
+    draws = np.empty(min(SAMPLE_CHUNK, absent))
+    taken = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, absent, SAMPLE_CHUNK):
+        r = rng.random(out=draws[:min(SAMPLE_CHUNK, absent - lo)])
+        taken.append(lo + np.flatnonzero(r < rho))
+    k = np.concatenate(taken)
+    # absent index k -> cross index c, skipping the present edges before it
+    c = k + np.searchsorted(present - np.arange(len(present)), k, side="right")
+    u = np.searchsorted(end, c, side="right")
+    return np.stack([u, part[c - shift[u]]], axis=1)
+
+
+def candidate_edits(graph: Graph, policy) -> EditBatch:
+    """The candidate edits of `policy` on `graph`, as one `EditBatch`
+    lexsorted by (u, v) (a pair is never both a delete and an add).
+
+    `Exhaustive()`: every node pair, a Delete if it is an edge, else an Add.
+    `Sampled(rho, gamma, seed)`: one uniform draw per present intra-group
+    edge in stored order, kept as a Delete if below gamma; then one draw per
+    absent cross-group pair in row-major upper-triangle order, kept as an Add
+    if below rho. The cross pairs are indexed implicitly and drawn in chunks
+    of SAMPLE_CHUNK, so memory is O(n + m + SAMPLE_CHUNK), not O(n^2)."""
     if isinstance(policy, Exhaustive):
         uu, vv = np.triu_indices(graph.n, k=1)
         present = _lookup(graph.keys, uu * graph.n + vv)[1]
-        kinds = np.where(present, EditKind.DELETE, EditKind.ADD)
-        return [EdgeEdit(k, u, v) for k, u, v in
-                zip(kinds.tolist(), uu.tolist(), vv.tolist())]
+        return _batch(~present, np.stack([uu, vv], axis=1))
     if isinstance(policy, Sampled):
         rng = np.random.default_rng(policy.seed)
-        s = graph.sensitive
-        # deletes over present intra-group edges, in stored edge order
-        p = graph.pairs
+        s, p = graph.sensitive, graph.pairs
         intra = p[s[p[:, 0]] == s[p[:, 1]]]
         dels = intra[rng.random(len(intra)) < policy.gamma]
-        # adds over absent cross-group pairs, lexicographic pair order (the
-        # row-major order of the upper triangle)
-        cross = np.triu(s[:, None] != s[None, :], k=1)
-        cross[p[:, 0], p[:, 1]] = False
-        uu, vv = np.nonzero(cross)
-        take = rng.random(len(uu)) < policy.rho
-        adds = np.stack([uu[take], vv[take]], axis=1)
-        # one list in (u, v) order: a pair is never both a delete and an add
+        adds = _sampled_adds(graph, policy.rho, rng)
         uv = np.concatenate([dels, adds])
-        kinds = np.repeat([EditKind.DELETE, EditKind.ADD], [len(dels), len(adds)])
-        order = np.lexsort((uv[:, 1], uv[:, 0]))
-        return [EdgeEdit(k, u, v) for k, (u, v) in
-                zip(kinds[order].tolist(), uv[order].tolist())]
+        kinds = np.repeat(np.array([DELETE, ADD], dtype=np.int8),
+                          [len(dels), len(adds)])
+        # both parts are lexsorted already, so a stable sort of the keys is a
+        # cheap merge
+        order = np.argsort(uv[:, 0] * graph.n + uv[:, 1], kind="stable")
+        return _batch(kinds[order], uv[order])
     raise GraphError(f"unknown candidate policy {policy!r}")
 
 

@@ -31,6 +31,11 @@ def assert_grad_close(analytic, numeric, tol=1e-4):
         f"gradient mismatch: rel err {rel_err(analytic, numeric):.2e}"
 
 
+def batch_edits(batch):
+    """Every row of an EditBatch as an EdgeEdit, in row order."""
+    return [batch.edit(i) for i in range(len(batch))]
+
+
 @pytest.fixture
 def triangle_graph():
     feats = np.array([[0.0, 1.0, -1.0],

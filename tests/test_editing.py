@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import fairedit.models as models
 from fairedit.autodiff import Adam, SGD, Tensor
@@ -7,11 +11,11 @@ from fairedit.editing import (CandidateCapExceeded, EditTrainConfig,
                               brute_force_select, edge_sensitivity_scores,
                               generate_counterfactual_graph, select_edit,
                               train_bruteforce, train_fairedit)
-from fairedit.graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
-                            apply_edit, candidate_edits)
+from fairedit.graph import (EdgeEdit, EditBatch, EditKind, Exhaustive, Graph,
+                            GraphError, apply_edit, candidate_edits)
 from fairedit.models import init_params, train
 
-from conftest import finite_diff, random_graph
+from conftest import batch_edits, finite_diff, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -116,7 +120,7 @@ def test_generate_counterfactual_identity():
     g = random_graph(8, 0.4, 1)
     gstar, edits = generate_counterfactual_graph(g, 0.0, 0.0, seed=0)
     assert gstar.edges == g.edges
-    assert edits == []
+    assert len(edits) == 0
 
 
 def test_generate_counterfactual_full_delete():
@@ -132,7 +136,9 @@ def test_generate_counterfactual_deterministic():
     g = random_graph(10, 0.3, 2)
     a = generate_counterfactual_graph(g, 0.4, 0.4, seed=5)
     b = generate_counterfactual_graph(g, 0.4, 0.4, seed=5)
-    assert a[0].edges == b[0].edges and a[1] == b[1]
+    assert a[0].edges == b[0].edges
+    np.testing.assert_array_equal(a[1].kinds, b[1].kinds)
+    np.testing.assert_array_equal(a[1].pairs, b[1].pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +148,7 @@ def test_scores_empty_edits():
     g = random_graph(6, 0.4, 0)
     params = init_params("gcn", g.d, 4, 2, seed=0)
     scores, nf = edge_sensitivity_scores(params, g, g, [])
-    assert scores == {} and nf == 0
+    assert scores.shape == (0,) and nf == 0
 
 
 def test_scores_zero_model():
@@ -151,9 +157,9 @@ def test_scores_zero_model():
     for w in params.weights:
         w.values[:] = 0.0
     gstar, edits = generate_counterfactual_graph(g, 0.5, 0.5, seed=0)
-    assert edits
+    assert len(edits)
     scores, _ = edge_sensitivity_scores(params, g, gstar, edits)
-    assert all(v == 0.0 for v in scores.values())
+    assert scores.shape == (len(edits),) and (scores == 0.0).all()
 
 
 def test_scores_inconsistent_edits():
@@ -162,6 +168,23 @@ def test_scores_inconsistent_edits():
     bogus = [EdgeEdit.add(0, 1) if (0, 1) in g.edge_set else EdgeEdit.delete(0, 1)]
     with pytest.raises(GraphError, match="inconsistent|does not map"):
         edge_sensitivity_scores(params, g, g, bogus)
+
+
+def test_scores_check_any_batch_but_the_sampled_one():
+    # the replay check is skipped only for the very graph and batch that
+    # generate_counterfactual_graph made; an equal copy is checked, and a
+    # batch missing a row is refused
+    g = random_graph(8, 0.4, 3)
+    params = init_params("gcn", g.d, 4, 2, seed=0)
+    gstar, edits = generate_counterfactual_graph(g, 0.5, 0.5, seed=1)
+    assert len(edits) >= 2
+    want, _ = edge_sensitivity_scores(params, g, gstar, edits)
+    copy = EditBatch(edits.kinds.copy(), edits.pairs.copy())
+    got, _ = edge_sensitivity_scores(params, g, gstar, copy)
+    np.testing.assert_array_equal(got, want)
+    short = EditBatch(edits.kinds[1:].copy(), edits.pairs[1:].copy())
+    with pytest.raises(GraphError, match="does not map"):
+        edge_sensitivity_scores(params, g, gstar, short)
 
 
 def test_scores_forward_budget():
@@ -212,17 +235,44 @@ def test_score_gradient_matches_finite_differences():
     s0 = DEFAULT_INIT_SCORE
     step = 1e-4
     numeric = (loss_at(s0 + step) - loss_at(s0 - step)) / (2 * step)
-    got = scores[edits[0]]
+    got = scores[0]
     assert got == pytest.approx(abs(numeric), rel=1e-3)
 
 
 def test_select_edit_rules():
-    a, d = EdgeEdit.add(0, 2), EdgeEdit.delete(1, 3)
-    assert select_edit({a: 0.7, d: 0.2}) == a
-    assert select_edit({a: 0.5, d: 0.5}) == d           # Delete < Add on ties
-    assert select_edit({EdgeEdit.add(0, 5): 1.0}) == EdgeEdit.add(0, 5)
+    batch = EditBatch.of([EdgeEdit.add(0, 2), EdgeEdit.delete(1, 3)])
+    assert select_edit(batch, np.array([0.7, 0.2])) == 0
+    assert select_edit(batch, np.array([0.5, 0.5])) == 1   # Delete < Add on ties
+    assert select_edit(EditBatch.of([EdgeEdit.add(0, 5)]), np.array([1.0])) == 0
     with pytest.raises(GraphError):
-        select_edit({})
+        select_edit(EditBatch.of([]), np.zeros(0))
+
+
+@st.composite
+def _scored_batches(draw):
+    """An edit batch on distinct (kind, u, v) rows, in any row order, with
+    importances drawn from a few values so that ties, at 0.0 too, are
+    common."""
+    n = draw(st.integers(2, 7))
+    rows = draw(st.lists(
+        st.tuples(st.integers(0, 1), st.integers(0, n - 2), st.integers(1, n - 1))
+        .filter(lambda r: r[1] < r[2]), min_size=1, max_size=12, unique=True))
+    values = draw(st.lists(st.floats(0, 10), min_size=1, max_size=3)) + [0.0]
+    importance = np.array([draw(st.sampled_from(values)) for _ in rows])
+    batch = EditBatch(np.array([r[0] for r in rows], dtype=np.int8),
+                      np.array([r[1:] for r in rows], dtype=np.int64))
+    return batch, importance
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_scored_batches())
+def test_select_edit_matches_min_rule(case):
+    # the former rule over a {EdgeEdit: score} map: largest score, then
+    # Delete < Add, then u, then v
+    batch, importance = case
+    scores = dict(zip(batch_edits(batch), importance.tolist()))
+    want = min(scores, key=lambda e: (-scores[e], e.sort_key))
+    assert batch.edit(select_edit(batch, importance)) == want
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +404,8 @@ def test_fairedit_pick_ranks_well_against_bruteforce_oracle():
         if len(edits) < 4:
             continue
         scores, _ = edge_sensitivity_scores(params, g, gstar, edits)
-        pick = select_edit(scores)
+        pick = edits.edit(select_edit(edits, scores))
+        edits = batch_edits(edits)
         fcs = {e: counterfactual_unfairness(params, apply_edit(g, e),
                                             g.train_mask) for e in edits}
         # tie-aware rank: F_C is discrete on small masks, so many candidates
@@ -366,3 +417,39 @@ def test_fairedit_pick_ranks_well_against_bruteforce_oracle():
     # calibration run measured 46/50 = 92% top-20% hits; frozen at >= 60%
     assert trials >= 30
     assert hits / trials >= 0.60
+
+
+def _acceptance6_graph(seed):
+    from fairedit.graph import (SyntheticSpec, normalize_features,
+                                synth_biased_graph, with_split)
+    spec = SyntheticSpec(n=400, homophily=0.9, edge_density=2, label_bias=0.8,
+                         seed=seed)
+    g = with_split(synth_biased_graph(spec), seed=seed)
+    return g.replace(features=normalize_features(g.features, g.train_mask,
+                                                 g.sensitive_col))
+
+
+# SHA-256 of trace.serialize() and of the final edge pairs' bytes, recorded
+# with the sampler that built an n x n cross-pair matrix and the dict-based
+# selection that the array batch replaced
+GOLDEN_TRACES = {
+    0: ("9e6046525e1e77fd119bf50b5a496340f1a5e7ebeb8a715e74d251d175b891cc",
+        "c446fad53049abc7e89dc8389f9533fac8e5d2d9e40483cd4faf1727cc8a3e1c"),
+    1: ("7c7961135717f9f3d68800842fff5825cd00da3f88f70d1c449e275a3ba20b68",
+        "94a6336d94cbc0264147734ab87a403b439025cc4ea373f39bcf01c9bb1f0123"),
+}
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_TRACES))
+def test_fairedit_golden_trace(seed):
+    # the acceptance-6 setup with K and alpha cut from 250/190 to 60/40
+    g = _acceptance6_graph(seed)
+    p = init_params("gcn", g.d, 16, 3, seed=seed)
+    cfg = EditTrainConfig(alpha=40, K=60, rho=0.0075, gamma=0.25, mask_iters=5,
+                          seed=seed)
+    _, g_out, trace = train_fairedit(p, g, Adam(0.01), cfg)
+    assert len(trace.entries) == 40
+    assert set(trace.selection_forwards.values()) == {10}
+    got = (hashlib.sha256(trace.serialize().encode()).hexdigest(),
+           hashlib.sha256(g_out.pairs.tobytes()).hexdigest())
+    assert got == GOLDEN_TRACES[seed]

@@ -4,15 +4,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairedit.editing import generate_counterfactual_graph
-from fairedit.graph import (EdgeEdit, EditKind, Exhaustive, Graph, GraphError,
-                            Sampled, SyntheticSpec, apply_edit, apply_edits,
-                            candidate_edits, disjoint_union, flip_sensitive,
-                            load_edge_list, load_node_table,
+from fairedit.graph import (EdgeEdit, EditBatch, EditKind, Exhaustive, Graph,
+                            GraphError, Sampled, SyntheticSpec, apply_edit,
+                            apply_edits, apply_pair, candidate_edits,
+                            disjoint_union, flip_sensitive, load_edge_list,
+                            load_node_table,
                             normalize_features, perturb_features,
                             save_edge_list, split, synth_biased_graph,
                             with_split)
 
-from conftest import random_graph
+from conftest import batch_edits, random_graph
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +260,11 @@ def test_perturb_non_finite_sigma(triangle_graph, sigma):
 def test_exhaustive_candidates_example():
     g = Graph.build(np.zeros((3, 1)), [(0, 1)], [0, 1, 0], [0, 1, 0], 0)
     cands = candidate_edits(g, Exhaustive())
-    assert cands == [EdgeEdit.delete(0, 1), EdgeEdit.add(0, 2), EdgeEdit.add(1, 2)]
+    assert batch_edits(cands) == [EdgeEdit.delete(0, 1), EdgeEdit.add(0, 2),
+                                  EdgeEdit.add(1, 2)]
+    np.testing.assert_array_equal(cands.kinds, np.array([0, 1, 1], dtype=np.int8))
+    np.testing.assert_array_equal(cands.pairs, np.array([[0, 1], [0, 2], [1, 2]]))
+    assert not cands.kinds.flags.writeable and not cands.pairs.flags.writeable
 
 
 def test_exhaustive_count(triangle_graph):
@@ -268,12 +273,12 @@ def test_exhaustive_count(triangle_graph):
 
 
 def test_sampled_zero_probs(triangle_graph):
-    assert candidate_edits(triangle_graph, Sampled(0.0, 0.0, seed=1)) == []
+    assert len(candidate_edits(triangle_graph, Sampled(0.0, 0.0, seed=1))) == 0
 
 
 def test_sampled_prob_one():
     g = random_graph(8, 0.4, 4)
-    cands = candidate_edits(g, Sampled(1.0, 1.0, seed=0))
+    cands = batch_edits(candidate_edits(g, Sampled(1.0, 1.0, seed=0)))
     s = g.sensitive
     adds = [e for e in cands if e.kind is EditKind.ADD]
     dels = [e for e in cands if e.kind is EditKind.DELETE]
@@ -289,13 +294,14 @@ def test_sampled_deterministic():
     g = random_graph(10, 0.3, 1)
     a = candidate_edits(g, Sampled(0.3, 0.3, seed=9))
     b = candidate_edits(g, Sampled(0.3, 0.3, seed=9))
-    assert a == b
+    np.testing.assert_array_equal(a.kinds, b.kinds)
+    np.testing.assert_array_equal(a.pairs, b.pairs)
 
 
 def test_sampled_respects_groups():
     g = random_graph(10, 0.4, 6)
     s = g.sensitive
-    for e in candidate_edits(g, Sampled(0.5, 0.5, seed=2)):
+    for e in batch_edits(candidate_edits(g, Sampled(0.5, 0.5, seed=2))):
         if e.kind is EditKind.ADD:
             assert s[e.u] != s[e.v]
         else:
@@ -381,7 +387,7 @@ def test_property_exhaustive_length(seed):
 def test_property_edit_inverse_identity(seed, data):
     g = random_graph(7, 0.5, seed)
     cands = candidate_edits(g, Exhaustive())
-    edit = cands[data.draw(st.integers(0, len(cands) - 1))]
+    edit = cands.edit(data.draw(st.integers(0, len(cands) - 1)))
     g2 = apply_edit(apply_edit(g, edit), edit.inverse())
     assert g2.edges == g.edges
 
@@ -393,7 +399,7 @@ def test_property_operations_preserve_invariants(seed):
     for view in (flip_sensitive(g), perturb_features(g, 0.5, seed),
                  disjoint_union(g, g)):
         view.validate()
-    for edit in candidate_edits(g, Sampled(0.3, 0.3, seed))[:3]:
+    for edit in batch_edits(candidate_edits(g, Sampled(0.3, 0.3, seed)))[:3]:
         apply_edit(g, edit).validate()
 
 
@@ -559,6 +565,19 @@ def test_build_rejects_features_not_2d(features):
         Graph.build(features, [], [0, 1, 0], [0, 0, 1], 0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_build_rejects_non_finite_features(bad):
+    # a hidden ReLU maps nan to 0, so a GCN on such a graph would return
+    # finite (all-zero) logits instead of failing
+    features = np.zeros((3, 2))
+    features[1, 1] = bad
+    with pytest.raises(GraphError, match="features must be finite"):
+        Graph.build(features, [(0, 1), (1, 2)], [0, 1, 0], [0, 1, 1], 0)
+    g = Graph.build(np.zeros((3, 2)), [(0, 1), (1, 2)], [0, 1, 0], [0, 1, 1], 0)
+    with pytest.raises(GraphError, match="features must be finite"):
+        g.replace(features=features).validate()
+
+
 def test_validate_rejects_unsorted_array():
     g = _build(3, [(0, 1), (1, 2)], [0, 1, 0])
     bad = g.replace(pairs=np.array([[1, 2], [0, 1]], dtype=np.int64))
@@ -680,12 +699,54 @@ def test_apply_edits_names_first_bad_edit(triangle_graph, edits, msg):
     assert str(exc.value) == msg
 
 
+@pytest.mark.parametrize("kinds,pairs,msg", [
+    (np.array([0], dtype=np.int64), np.array([[0, 1]]), "int8 kinds"),
+    (np.array([0, 1], dtype=np.int8), np.array([[0, 1]]), "int8 kinds"),
+    (np.array([2], dtype=np.int8), np.array([[0, 1]]), "must be 0 \\(delete\\) or 1"),
+    (np.array([1, 0], dtype=np.int8), np.array([[0, 1], [2, 2]]),
+     "self-loop edit on node 2"),
+    (np.array([1], dtype=np.int8), np.array([[3, 1]]),
+     "edit \\(3, 1\\) not stored with u < v"),
+])
+def test_edit_batch_rejects_malformed_rows(kinds, pairs, msg):
+    with pytest.raises(GraphError, match=msg):
+        EditBatch(kinds, pairs)
+
+
+def test_edit_batch_round_trip():
+    edits = [EdgeEdit.add(3, 1), EdgeEdit.delete(0, 2)]
+    batch = EditBatch.of(edits)
+    np.testing.assert_array_equal(batch.kinds, np.array([1, 0], dtype=np.int8))
+    np.testing.assert_array_equal(batch.pairs, [[1, 3], [0, 2]])
+    assert batch_edits(batch) == edits and batch.edit(1) == edits[1]
+    assert EditBatch.of(batch) is batch and len(batch) == 2
+
+
+def test_apply_edits_batch_equals_edit_list(triangle_graph):
+    g = _build(5, triangle_graph.edges, [0, 1, 0, 1, 0])
+    edits = [EdgeEdit.add(2, 4), EdgeEdit.delete(0, 1), EdgeEdit.add(0, 3)]
+    got = apply_edits(g, EditBatch.of(edits))
+    assert got.edges == apply_edits(g, edits).edges == ((0, 2), (0, 3), (1, 2), (2, 4))
+    _assert_stored_array(got)
+
+
+def test_apply_pair_checks_like_apply_edit(triangle_graph):
+    assert apply_pair(triangle_graph, False, 0, 1).edges == ((0, 2), (1, 2))
+    with pytest.raises(GraphError, match="not stored with u < v"):
+        apply_pair(triangle_graph, True, 2, 0)
+    with pytest.raises(GraphError, match=r"out of range: \(1, 3\)"):
+        apply_pair(triangle_graph, True, 1, 3)
+    with pytest.raises(GraphError, match=r"Add of existing edge \(0, 2\)"):
+        apply_pair(triangle_graph, True, 0, 2)
+
+
 @settings(max_examples=150, deadline=None)
 @given(g=_graphs(max_n=12), rho=st.floats(0, 1), gamma=st.floats(0, 1),
        seed=st.integers(0, 2**32 - 1))
 def test_differential_sampled_candidates(g, rho, gamma, seed):
     policy = Sampled(rho, gamma, seed)
-    assert candidate_edits(g, policy) == _ref_sampled(g.edges, g.sensitive, g.n, policy)
+    assert batch_edits(candidate_edits(g, policy)) == \
+        _ref_sampled(g.edges, g.sensitive, g.n, policy)
 
 
 @settings(max_examples=100, deadline=None)
@@ -694,7 +755,7 @@ def test_differential_sampled_candidates(g, rho, gamma, seed):
 def test_differential_counterfactual_graph(g, rho, gamma, seed):
     gstar, edits = generate_counterfactual_graph(g, rho, gamma, seed)
     want = _ref_sampled(g.edges, g.sensitive, g.n, Sampled(rho, gamma, seed))
-    assert edits == want
+    assert batch_edits(edits) == want
     expected = g.edges
     for e in want:
         expected = _ref_apply_edit(expected, g.n, e)
@@ -707,4 +768,4 @@ def test_differential_counterfactual_graph(g, rho, gamma, seed):
 def test_differential_exhaustive_candidates(g):
     want = [EdgeEdit.delete(u, v) if (u, v) in g.edge_set else EdgeEdit.add(u, v)
             for u in range(g.n) for v in range(u + 1, g.n)]
-    assert candidate_edits(g, Exhaustive()) == want
+    assert batch_edits(candidate_edits(g, Exhaustive())) == want
