@@ -3,6 +3,7 @@ fairness, and gradient-based selection through a sigmoid edge-score mask."""
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -10,7 +11,8 @@ import numpy as np
 from . import autodiff as ad
 from . import models
 from .graph import (ADD, EdgeEdit, EditBatch, Exhaustive, Graph, GraphError,
-                    Sampled, apply_edit, apply_edits, apply_pair, candidate_edits)
+                    Sampled, apply_edit, apply_edits, apply_pair, candidate_edits,
+                    counterfactual_twin, twin_sharing_nodes)
 from .metrics import counterfactual_unfairness
 
 
@@ -76,25 +78,88 @@ def _eval_mask(graph: Graph, config: EditTrainConfig):
     return graph.train_mask if config.eval_nodes == "train" else graph.val_mask
 
 
+@contextmanager
+def _frozen(params):
+    """Model parameters marked as needing no gradient inside the block, so
+    forwards there record no tape for them; their flags are restored after."""
+    tensors = params.parameters()
+    flags = [t.requires_grad for t in tensors]
+    for t in tensors:
+        t.requires_grad = False
+    try:
+        yield
+    finally:
+        for t, f in zip(tensors, flags):
+            t.requires_grad = f
+
+
 # ---------------------------------------------------------------------------
 # Brute-force selection
+
+class _EpochTwin:
+    """What the candidates of one brute-force epoch share, built once from
+    the base graph with no model forward: the base graph's counterfactual
+    twin, whose node arrays every candidate's twin reuses, and for GCN and
+    SAGE the twin's layer-0 propagation and each node's rows in both halves
+    of the twin (the node and its neighbours)."""
+
+    def __init__(self, graph: Graph, architecture: str):
+        self.architecture = architecture
+        self.twin = counterfactual_twin(graph)
+        self.layer0 = None
+        if architecture == "appnp":   # no layer-0 cache to patch
+            return
+        self.layer0 = models.adjacency(self.twin).first_layer(architecture)
+        n, p = graph.n, graph.pairs
+        node = np.concatenate([p[:, 0], p[:, 1], np.arange(n)])
+        rows = np.concatenate([p[:, 1], p[:, 0], np.arange(n)])
+        rows = rows[np.argsort(node, kind="stable")]
+        ends = np.cumsum(np.bincount(node, minlength=n))[:-1]
+        self.rows = [np.concatenate([r, r + n]) for r in np.split(rows, ends)]
+
+    def attach(self, edited: Graph, u: int, v: int) -> None:
+        """Attach its counterfactual twin to `edited`, the base graph with
+        pair (u, v) added or deleted. An edit changes degrees only at u and
+        v, so only the rows of u, v and their neighbours see new coefficients
+        or edges; for GCN and SAGE the twin's adjacency gets the base twin's
+        layer 0 with just those rows recomputed, in both halves."""
+        twin = twin_sharing_nodes(edited, self.twin)
+        if self.layer0 is not None:
+            models.adjacency(twin).patch_first_layer(
+                self.architecture, self.layer0,
+                np.concatenate((self.rows[u], self.rows[v])))
+        edited._cached("_twin", lambda: twin)
+
 
 def brute_force_select(params, graph: Graph, candidates, eval_mask):
     """Evaluate counterfactual unfairness of every candidate edit (an
     `EditBatch`, or `EdgeEdit`s) under the current parameters, walking the
     batch rows; return (edit, score) minimizing it. Ties break by
-    (Delete < Add, u, v)."""
+    (Delete < Add, u, v).
+
+    Each candidate costs one `apply_pair`, one `counterfactual_unfairness`
+    call and one counted full-depth forward on its twin. The twin comes
+    prepared from the epoch's shared state (`_EpochTwin`), attached to the
+    candidate graph: it reuses the base twin's node arrays, and its layer 0
+    is the base twin's with the edit's rows recomputed, bitwise equal to a
+    full recompute; layers >= 1 run in full. The parameters are frozen while
+    scoring, so the forwards record no autodiff tape."""
     candidates = EditBatch.of(candidates)
     if not candidates:
         raise GraphError("brute_force_select: empty candidate list")
+    base = _EpochTwin(graph, params.architecture)
     best = None
-    rows = zip(candidates.kinds.tolist(), candidates.pairs.tolist())
-    for i, (kind, (u, v)) in enumerate(rows):
-        edited = apply_pair(graph, kind == ADD, u, v)
-        fc = counterfactual_unfairness(params, edited, eval_mask)
-        key = (fc, kind, u, v)
-        if best is None or key < best[0]:
-            best = (key, i)
+    # flat lists: no Python list per row
+    uv = candidates.pairs
+    rows = zip(candidates.kinds.tolist(), uv[:, 0].tolist(), uv[:, 1].tolist())
+    with _frozen(params):     # scoring runs no backward
+        for i, (kind, u, v) in enumerate(rows):
+            edited = apply_pair(graph, kind == ADD, u, v)
+            base.attach(edited, u, v)
+            fc = counterfactual_unfairness(params, edited, eval_mask)
+            key = (fc, kind, u, v)
+            if best is None or key < best[0]:
+                best = (key, i)
     (score, *_), i = best
     return candidates.edit(i), score
 
@@ -146,13 +211,9 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
     mask_g = models.ScoreMatrix(graph)
     mask_s = models.ScoreMatrix(gstar)
 
-    # only the masks learn: freeze model parameters for the refinement loop
-    tensors = params.parameters()
-    flags = [t.requires_grad for t in tensors]
-    for t in tensors:
-        t.requires_grad = False
     start = models.FORWARD_CALLS
-    try:
+    # only the masks learn
+    with _frozen(params):
         grad_g = np.zeros_like(mask_g.scores.values)
         grad_s = np.zeros_like(mask_s.scores.values)
         for _ in range(mask_iters):
@@ -162,9 +223,6 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
             # gradient ascent on the gap, then binarize for the next forward
             grad_g = mask_g.ascend(mask_lr, binarize_threshold)
             grad_s = mask_s.ascend(mask_lr, binarize_threshold)
-    finally:
-        for t, f in zip(tensors, flags):
-            t.requires_grad = f
 
     # a mask's score rows follow its host graph's edge rows
     uv, add = edits.pairs, edits.kinds == ADD

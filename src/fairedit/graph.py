@@ -239,6 +239,9 @@ class Graph:
         if not (0 <= self.sensitive_col < self.d):
             raise GraphError("sensitive_col out of range")
         self._validate_pairs()
+        for name in ("train_mask", "val_mask", "test_mask"):
+            if np.shape(getattr(self, name)) != (n,):
+                raise GraphError(f"{name} must have shape ({n},), one entry per node")
         overlap = (self.train_mask & self.val_mask) | \
                   (self.train_mask & self.test_mask) | \
                   (self.val_mask & self.test_mask)
@@ -546,7 +549,15 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 def counterfactual_twin(graph: Graph) -> Graph:
     """`disjoint_union(graph, flip_sensitive(graph))`, stacked directly. Both
     halves carry `graph`'s own valid pairs, so the stack is valid by
-    construction and is not validated again."""
+    construction and is not validated again.
+
+    A twin that the maker of `graph` attached to it as `_twin` is returned
+    as is: `brute_force_select` attaches one, built by `twin_sharing_nodes`,
+    to each candidate graph it scores. No twin is kept otherwise, so a
+    graph's twin lives no longer than the caller holds it."""
+    attached = graph.__dict__.get("_twin")
+    if attached is not None:
+        return attached
     n, col = graph.n, graph.sensitive_col
     feats = np.concatenate([graph.features, graph.features])
     feats[n:, col] = 1 - feats[n:, col]
@@ -560,6 +571,14 @@ def counterfactual_twin(graph: Graph) -> Graph:
         np.concatenate([graph.val_mask, graph.val_mask]),
         np.concatenate([graph.test_mask, graph.test_mask]),
     )
+
+
+def twin_sharing_nodes(graph: Graph, twin: Graph) -> Graph:
+    """`counterfactual_twin(graph)`, given `twin`, the counterfactual twin of
+    a graph with `graph`'s node arrays (one edge edit away, say): the new
+    twin shares `twin`'s node arrays and stacks only `graph`'s pairs."""
+    p = graph.pairs
+    return twin.replace(pairs=_readonly(np.concatenate([p, p + graph.n])))
 
 
 # ---------------------------------------------------------------------------
@@ -590,27 +609,43 @@ def _batch(kinds: np.ndarray, pairs: np.ndarray) -> EditBatch:
     return EditBatch(_readonly(kinds.astype(np.int8, copy=False)), _readonly(pairs))
 
 
+class _GroupPairs:
+    """The node pairs u < v within the two groups of `s` (intra), or across
+    them (cross), indexed implicitly in row-major upper-triangle order.
+    `part` lists group 1's nodes, then group 0's, and `at` is each node's
+    place in it; the partners of row u (the same or the other group's nodes
+    after u) are part[first:stop] for that row's bounds, so pair
+    (u, part[i]) has index i + shift[u], and row u's pairs end at end[u]."""
+
+    def __init__(self, s: np.ndarray, intra: bool):
+        n = len(s)
+        self.part = np.concatenate([np.flatnonzero(s == 1), np.flatnonzero(s == 0)])
+        self.at = np.empty(n, dtype=np.int64)
+        self.at[self.part] = np.arange(n)
+        n1, ones = int(np.count_nonzero(s)), np.cumsum(s)   # ones: group 1 up to u
+        in_ones = (s == 1) == intra        # row u's partners are in group 1
+        first = np.where(in_ones, ones, n1 + np.arange(1, n + 1) - ones)
+        stop = np.where(in_ones, n1, n)
+        self.end = np.cumsum(stop - first)
+        self.shift = self.end - stop
+        self.count = int(self.end[-1]) if n else 0
+
+    def pairs(self, c: np.ndarray) -> np.ndarray:
+        """The pairs with indices `c`, as (len(c), 2) rows."""
+        u = np.searchsorted(self.end, c, side="right")
+        return np.stack([u, self.part[c - self.shift[u]]], axis=1)
+
+
 def _sampled_adds(graph: Graph, rho: float, rng) -> np.ndarray:
     """The absent cross-group pairs drawn with probability rho, one uniform
     draw per pair in row-major upper-triangle order, as (k, 2) rows in that
     order. The cross pairs are indexed implicitly; no n x n array is built."""
-    n, s = graph.n, graph.sensitive
-    # `part` lists group 1's nodes, then group 0's; the partners of row u (the
-    # other group's nodes after u) are part[first[u]:stop[u]]
-    part = np.concatenate([np.flatnonzero(s == 1), np.flatnonzero(s == 0)])
-    at = np.empty(n, dtype=np.int64)
-    at[part] = np.arange(n)
-    n1, ones = int(np.count_nonzero(s)), np.cumsum(s)   # ones: group 1 up to u
-    first = np.where(s == 0, ones, n1 + np.arange(1, n + 1) - ones)
-    stop = np.where(s == 0, n1, n)
-    end = np.cumsum(stop - first)
-    # cross pair (u, part[i]) has index i + shift[u] in row-major order
-    shift = end - stop
-    p = graph.pairs
+    s, p = graph.sensitive, graph.pairs
+    cross = _GroupPairs(s, intra=False)
     cu, cv = p[s[p[:, 0]] != s[p[:, 1]]].T
     # indices of the present cross edges, increasing as the edges are lexsorted
-    present = shift[cu] + at[cv]
-    absent = (int(end[-1]) if n else 0) - len(present)
+    present = cross.shift[cu] + cross.at[cv]
+    absent = cross.count - len(present)
     draws = np.empty(min(SAMPLE_CHUNK, absent))
     taken = [np.zeros(0, dtype=np.int64)]
     for lo in range(0, absent, SAMPLE_CHUNK):
@@ -618,9 +653,8 @@ def _sampled_adds(graph: Graph, rho: float, rng) -> np.ndarray:
         taken.append(lo + np.flatnonzero(r < rho))
     k = np.concatenate(taken)
     # absent index k -> cross index c, skipping the present edges before it
-    c = k + np.searchsorted(present - np.arange(len(present)), k, side="right")
-    u = np.searchsorted(end, c, side="right")
-    return np.stack([u, part[c - shift[u]]], axis=1)
+    return cross.pairs(k + np.searchsorted(present - np.arange(len(present)), k,
+                                           side="right"))
 
 
 def candidate_edits(graph: Graph, policy) -> EditBatch:
@@ -705,16 +739,14 @@ def synth_biased_graph(spec: SyntheticSpec) -> Graph:
     m_intra = int(round(m * spec.homophily))
     m_cross = m - m_intra
 
-    uu, vv = np.triu_indices(n, k=1)
-    intra_mask = s[uu] == s[vv]
-    intra_pairs = np.flatnonzero(intra_mask)
-    cross_pairs = np.flatnonzero(~intra_mask)
-    if m_intra > len(intra_pairs) or m_cross > len(cross_pairs):
+    # the pairs of each kind are indexed implicitly, in row-major order; a
+    # draw of indices leaves the stream as a draw from the pair list would
+    intra, cross = _GroupPairs(s, intra=True), _GroupPairs(s, intra=False)
+    if m_intra > intra.count or m_cross > cross.count:
         raise GraphError("infeasible edge density for this node count")
-
-    pick_i = rng.choice(intra_pairs, size=m_intra, replace=False)
-    pick_c = rng.choice(cross_pairs, size=m_cross, replace=False)
-    pick = np.concatenate([pick_i, pick_c])
+    edges = np.concatenate([
+        intra.pairs(rng.choice(intra.count, size=m_intra, replace=False)),
+        cross.pairs(rng.choice(cross.count, size=m_cross, replace=False))])
 
     # the appended features carry only a weak label signal drowned in unit
     # noise; the dominant shortcut lives in the sensitive attribute and in the
@@ -723,8 +755,7 @@ def synth_biased_graph(spec: SyntheticSpec) -> Graph:
     feats[:, 0] = s
     feats[:, 1:] = rng.normal(loc=FEATURE_SIGNAL * y[:, None],
                               size=(n, spec.n_features))
-    return Graph.build(feats, np.stack([uu[pick], vv[pick]], axis=1), s, y,
-                       sensitive_col=0)
+    return Graph.build(feats, edges, s, y, sensitive_col=0)
 
 
 def with_split(graph: Graph, fractions=(0.5, 0.25, 0.25), seed: int = 0) -> Graph:

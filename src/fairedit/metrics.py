@@ -63,12 +63,16 @@ def counterfactual_unfairness(params, graph: Graph, mask) -> float:
     Runs the model once on the disjoint union of the graph and its flipped
     twin, so each evaluation costs a single forward pass."""
     mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
+    count = np.count_nonzero(mask)
+    if not count:
         raise MetricUndefinedError("counterfactual_unfairness: empty mask")
-    twin = counterfactual_twin(graph)
-    pred = models.predict(models.forward(params, twin))
     n = graph.n
-    return float(np.mean(pred[:n][mask] != pred[n:][mask]))
+    if mask.shape != (n,):
+        raise ValueError(f"counterfactual_unfairness: mask shape {mask.shape}, "
+                         f"want ({n},)")
+    pred = models.predict(models.forward(params, counterfactual_twin(graph)))
+    # the mean of the changed labels: an exact count over an exact count
+    return float(np.count_nonzero((pred[:n] != pred[n:]) & mask) / count)
 
 
 def instability(params, graph: Graph, mask, sigma: float = 0.1,

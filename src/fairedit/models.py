@@ -37,7 +37,8 @@ class NormalizedAdjacency:
     only masked and SAGE forwards read them.
 
     The unmasked first-layer propagation of the graph's features uses no
-    model parameters, so it is also computed on first use and then shared.
+    model parameters, so it is also computed on first use and then shared;
+    `patch_first_layer` fills it instead from a nearby graph's, bitwise.
     `forward` keeps one adjacency per Graph, in the graph's memo; the
     adjacency keeps the graph's features and edge count, not the graph, so
     the memo makes no reference cycle and a dropped graph is freed at once."""
@@ -69,10 +70,47 @@ class NormalizedAdjacency:
         before its weights; computed on first use, then shared."""
         out = self._first_layer.get(architecture)
         if out is None:
-            out = _PROPAGATE[architecture](Tensor(self.features), self, {})
-            out.values.flags.writeable = False   # no forward may write into it
-            self._first_layer[architecture] = out
+            out = self._keep(architecture,
+                             _PROPAGATE[architecture](Tensor(self.features), self, {}))
         return out
+
+    def patch_first_layer(self, architecture: str, base: Tensor, rows) -> None:
+        """Fill layer 0's cache from `base`, the first layer of another
+        adjacency on the same features. Every node outside `rows` must have
+        the same incoming edges there, in the same order and with the same
+        coefficients: its row of `base` is kept. The rows in `rows` (repeats
+        allowed) are recomputed from this adjacency's own coefficients by
+        `_segment_rows`, so the result is bitwise the full propagation."""
+        x, out = self.features, base.values.copy()
+        n, d = x.shape
+        inside = np.zeros(n, dtype=bool)
+        inside[rows] = True
+        sel = np.flatnonzero(inside[self.dst])
+        if architecture == "gcn":
+            nb = _segment_rows(self.dst, self.src, self.coef, x, sel)
+            out[rows] = nb[rows] + self.self_coef[rows, None] * x[rows]
+        else:   # sage: the features, then the neighbour means
+            nb = _segment_rows(self.dst, self.src, self.mean_coef, x, sel)
+            out[rows, d:] = nb[rows]
+        self._keep(architecture, Tensor(out))
+
+    def _keep(self, architecture: str, out: Tensor) -> Tensor:
+        out.values.flags.writeable = False   # no forward may write into it
+        self._first_layer[architecture] = out
+        return out
+
+
+def _segment_rows(idx, gather, w, x: np.ndarray, sel) -> np.ndarray:
+    """`autodiff._segment_sum` over the edges `sel` only, in one bincount
+    over (edge, column) pairs: bin idx_e * k + j takes w_e * x[gather_e, j].
+    The (edge, column) terms are laid out edge by edge, so each bin adds its
+    edges in edge order, as the per-column bincount does; a row all of whose
+    edges are in `sel` is bitwise that kernel's row, and a row with none is 0."""
+    n, k = x.shape
+    terms = w[sel, None] * x.take(gather[sel], axis=0)
+    bins = idx[sel, None] * k + np.arange(k)
+    return np.bincount(bins.ravel(), weights=terms.ravel(),
+                       minlength=n * k).reshape(n, k)
 
 
 SATURATING_SCORE = 50.0
@@ -199,6 +237,11 @@ def _appnp(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -
     return z
 
 
+def adjacency(graph: Graph) -> NormalizedAdjacency:
+    """The normalized adjacency in `graph`'s memo, built on first use."""
+    return graph._cached("_adj", lambda: NormalizedAdjacency(graph))
+
+
 def forward(params: ModelParams, graph: Graph,
             mask: ScoreMatrix | None = None) -> Tensor:
     """Logits of the model on `graph`, optionally through an edge-score mask
@@ -209,7 +252,7 @@ def forward(params: ModelParams, graph: Graph,
     itself. Every call counts one model forward in FORWARD_CALLS."""
     global FORWARD_CALLS
     FORWARD_CALLS += 1
-    adj = graph._cached("_adj", lambda: NormalizedAdjacency(graph))
+    adj = adjacency(graph)
     mk = {}
     if mask is not None:
         if not _same_graph(mask.host, graph):

@@ -1,0 +1,189 @@
+"""Brute-force candidates against the path they replaced: each candidate's
+counterfactual twin stacked from scratch and run through a full forward.
+`brute_force_select` now hands every candidate graph a prepared twin that
+shares the epoch's node arrays and patches only the edit's layer-0 rows;
+every array, logit and selection must stay bitwise the same."""
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import fairedit.editing as editing
+from fairedit import models
+from fairedit.graph import (ADD, EdgeEdit, EditKind, Exhaustive, Graph,
+                            GraphError, apply_pair, candidate_edits,
+                            counterfactual_twin)
+from fairedit.models import forward, init_params, predict
+
+_NODE_FIELDS = ("features", "sensitive", "labels", "train_mask", "val_mask",
+                "test_mask")
+
+
+def oracle_twin(graph: Graph) -> Graph:
+    """The twin as it was built for every candidate: both halves stacked
+    anew, the second with its sensitive attribute flipped."""
+    n, col = graph.n, graph.sensitive_col
+    feats = np.concatenate([graph.features, graph.features])
+    feats[n:, col] = 1 - feats[n:, col]
+    pairs = np.concatenate([graph.pairs, graph.pairs + n])
+    pairs.flags.writeable = False
+    return Graph(feats, pairs,
+                 np.concatenate([graph.sensitive, 1 - graph.sensitive]),
+                 np.concatenate([graph.labels, graph.labels]), col,
+                 np.concatenate([graph.train_mask, graph.train_mask]),
+                 np.concatenate([graph.val_mask, graph.val_mask]),
+                 np.concatenate([graph.test_mask, graph.test_mask]))
+
+
+def oracle_select(params, graph: Graph, mask):
+    """(edit, score) of the former loop: every candidate's oracle twin,
+    a full forward on it, the mean of the changed labels."""
+    best = None
+    batch = candidate_edits(graph, Exhaustive())
+    for i, (kind, (u, v)) in enumerate(zip(batch.kinds.tolist(), batch.pairs.tolist())):
+        edited = apply_pair(graph, kind == ADD, u, v)
+        pred = predict(forward(params, oracle_twin(edited)))
+        n = graph.n
+        key = (float(np.mean(pred[:n][mask] != pred[n:][mask])), kind, u, v)
+        if best is None or key < best[0]:
+            best = (key, i)
+    (score, *_), i = best
+    return batch.edit(i), score
+
+
+def _case(n, edges, s, feats, where):
+    """An n-node graph with sensitive bits `s` in column 0 before `feats`;
+    `where` puts each node in no split (0) or in train/val/test (1/2/3)."""
+    s, where = np.asarray(s), np.asarray(where)
+    x = np.column_stack([s, np.asarray(feats, dtype=float).reshape(n, -1)])
+    return Graph.build(x, edges, s, 1 - s, 0, train_mask=where == 1,
+                       val_mask=where == 2, test_mask=where == 3)
+
+
+@st.composite
+def _graphs(draw, max_n=8):
+    """Sparse, mixed and near-complete graphs; sparse ones have isolated
+    nodes, and deleting a leaf's only edge isolates it."""
+    n = draw(st.integers(2, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep_below = draw(st.sampled_from([2, 5, 9]))     # of 10: sparse .. near-complete
+    rolls = draw(st.lists(st.integers(0, 9), min_size=len(pairs), max_size=len(pairs)))
+    where = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    where[0] = 1                                      # a non-empty train mask
+    d = draw(st.integers(1, 3))
+    return _case(n, [p for p, r in zip(pairs, rolls) if r < keep_below],
+                 draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)),
+                 draw(st.lists(st.floats(-10, 10), min_size=n * d, max_size=n * d)),
+                 where)
+
+
+def _x(n, d=2):
+    return np.sin(np.arange(n * d, dtype=float) * 1.7)
+
+
+_CORNERS = {
+    # nodes 2..4 isolated: adds between two degree-0 endpoints
+    "isolated": _case(5, [(0, 1)], [0, 1, 1, 0, 1], _x(5), [1, 2, 1, 3, 1]),
+    # deleting any edge of the star isolates its leaf
+    "star": _case(5, [(0, 1), (0, 2), (0, 3), (0, 4)], [1, 0, 1, 0, 0], _x(5),
+                  [1, 1, 1, 2, 3]),
+    # every pair but (2, 4) is an edge
+    "near-complete": _case(6, [(u, v) for u in range(6) for v in range(u + 1, 6)
+                               if (u, v) != (2, 4)],
+                           [0, 1, 0, 1, 1, 0], _x(6), [1, 1, 2, 3, 1, 0]),
+    "empty": _case(4, [], [0, 1, 1, 0], _x(4), [1, 1, 1, 1]),
+}
+
+
+def _corner_examples(test):
+    for g in _CORNERS.values():
+        for arch in models.ARCHITECTURES:
+            test = example(g=g, arch=arch, depth=2, seed=1)(test)
+    return test
+
+
+def _bytes_equal(x, y, what):
+    assert (x.dtype, x.shape) == (y.dtype, y.shape), what
+    assert x.tobytes() == y.tobytes(), what
+
+
+@settings(max_examples=120, deadline=None)
+@given(g=_graphs(), arch=st.sampled_from(models.ARCHITECTURES),
+       depth=st.integers(1, 3), seed=st.integers(0, 2**16))
+@_corner_examples
+def test_every_candidate_equals_full_twin_forward(g, arch, depth, seed):
+    params = init_params(arch, g.d, 4, depth, seed=seed)
+    if seed % 2:     # lean on the sensitive column, so that edits change labels
+        params.weights[0].values[g.sensitive_col] += 3.0
+    mask = g.train_mask
+    seen = []
+    score = editing.counterfactual_unfairness
+
+    def spy(params, edited, mask):
+        twin = counterfactual_twin(edited)
+        out = score(params, edited, mask)
+        seen.append((edited, twin, forward(params, twin).values))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(editing, "counterfactual_unfairness", spy)
+        got = editing.brute_force_select(params, g, candidate_edits(g, Exhaustive()), mask)
+
+    batch = candidate_edits(g, Exhaustive())
+    assert len(seen) == len(batch)
+    for (edited, twin, logits), kind, (u, v) in zip(seen, batch.kinds.tolist(),
+                                                    batch.pairs.tolist()):
+        what = f"{arch} depth {depth}, {'add' if kind == ADD else 'delete'} ({u}, {v})"
+        # the twin the metric ran on is the one attached to the candidate
+        assert twin is edited.__dict__["_twin"], what
+        want = oracle_twin(apply_pair(g, kind == ADD, u, v))
+        for name in _NODE_FIELDS + ("pairs",):
+            _bytes_equal(getattr(twin, name), getattr(want, name), f"{what}: {name}")
+        assert twin.sensitive_col == want.sensitive_col
+        assert not twin.pairs.flags.writeable
+        if arch != "appnp":
+            _bytes_equal(models.adjacency(twin).first_layer(arch).values,
+                         models.adjacency(want).first_layer(arch).values,
+                         f"{what}: layer 0")
+        want_logits = forward(params, want).values
+        np.testing.assert_array_equal(logits, want_logits, err_msg=what)
+        _bytes_equal(logits, want_logits, f"{what}: logits")
+    # every candidate twin shares the epoch's node arrays
+    for name in _NODE_FIELDS:
+        assert len({id(getattr(t, name)) for _, t, _ in seen}) == 1, name
+    assert got == oracle_select(params, g, mask)
+
+
+def test_twin_is_attached_only_to_candidates():
+    g = _CORNERS["star"]
+    twin = counterfactual_twin(g)
+    assert "_twin" not in g.__dict__
+    assert counterfactual_twin(g) is not twin
+    params = init_params("gcn", g.d, 4, 2, seed=0)
+    edit, _ = editing.brute_force_select(params, g, candidate_edits(g, Exhaustive()),
+                                         g.train_mask)
+    assert edit.kind in (EditKind.ADD, EditKind.DELETE)
+    assert "_twin" not in g.__dict__ and "_adj" not in twin.__dict__
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_candidates_count_one_forward_each(arch):
+    g = _CORNERS["near-complete"]
+    params = init_params(arch, g.d, 4, 2, seed=0)
+    batch = candidate_edits(g, Exhaustive())
+    start = models.FORWARD_CALLS
+    editing.brute_force_select(params, g, batch, g.train_mask)
+    assert models.FORWARD_CALLS - start == len(batch)
+
+
+def test_scoring_leaves_parameter_flags_as_found():
+    g = _CORNERS["star"]
+    params = init_params("sage", g.d, 4, 2, seed=0)
+    params.biases[0].requires_grad = False
+    want = [t.requires_grad for t in params.parameters()]
+    editing.brute_force_select(params, g, candidate_edits(g, Exhaustive()), g.train_mask)
+    assert [t.requires_grad for t in params.parameters()] == want
+    # a refused candidate (an add of an existing edge) ends the scoring early
+    with pytest.raises(GraphError, match="Add of existing"):
+        editing.brute_force_select(params, g, [EdgeEdit.add(0, 1)], g.train_mask)
+    assert [t.requires_grad for t in params.parameters()] == want

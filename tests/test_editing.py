@@ -419,14 +419,19 @@ def test_fairedit_pick_ranks_well_against_bruteforce_oracle():
     assert hits / trials >= 0.60
 
 
-def _acceptance6_graph(seed):
+def _acceptance6_graph(seed, n=400):
     from fairedit.graph import (SyntheticSpec, normalize_features,
                                 synth_biased_graph, with_split)
-    spec = SyntheticSpec(n=400, homophily=0.9, edge_density=2, label_bias=0.8,
+    spec = SyntheticSpec(n=n, homophily=0.9, edge_density=2, label_bias=0.8,
                          seed=seed)
     g = with_split(synth_biased_graph(spec), seed=seed)
     return g.replace(features=normalize_features(g.features, g.train_mask,
                                                  g.sensitive_col))
+
+
+def _digests(trace, g_out):
+    return (hashlib.sha256(trace.serialize().encode()).hexdigest(),
+            hashlib.sha256(g_out.pairs.tobytes()).hexdigest())
 
 
 # SHA-256 of trace.serialize() and of the final edge pairs' bytes, recorded
@@ -450,6 +455,33 @@ def test_fairedit_golden_trace(seed):
     _, g_out, trace = train_fairedit(p, g, Adam(0.01), cfg)
     assert len(trace.entries) == 40
     assert set(trace.selection_forwards.values()) == {10}
-    got = (hashlib.sha256(trace.serialize().encode()).hexdigest(),
-           hashlib.sha256(g_out.pairs.tobytes()).hexdigest())
-    assert got == GOLDEN_TRACES[seed]
+    assert _digests(trace, g_out) == GOLDEN_TRACES[seed]
+
+
+# SHA-256 of trace.serialize() and of the final edge pairs' bytes, recorded
+# with candidate twins stacked from scratch and a full layer 0 per candidate
+GOLDEN_BRUTEFORCE_TRACES = {
+    ("gcn", 0): (
+        "0f266d230aee54797603157197ad51f49f33a4f3937ba9510fc9e18091d51790",
+        "fa8fd7b28ebffdf332a823465b41b095a0efd8090e8f39a61e603b2a72d7f77e"),
+    ("gcn", 1): (
+        "76194e9f1ff952702c1555249d4475c0a595b510628e536d211a4a15518a15f0",
+        "f5dac3888c43256e8a205218a4cb1b8af9a556c4f355ac03437546ee184310d7"),
+    ("sage", 0): (
+        "4c28329bec9dddb7f62fef39248502df0d4f20577be097cb3b8ac5629c861ee7",
+        "913ae257cb55e39cf0196a80b6adc453638e23f600c5c460e66ebbea9cb73ef3"),
+    ("sage", 1): (
+        "51b605cb2bac2883b4dc2229ea7ba7d7331670ae4eb6df5722c41130e4e4bde8",
+        "031bba620ee6ec5a5f2a738be7fa25e43cf4a35c5cc75f10ea532e65fedec979"),
+}
+
+
+@pytest.mark.parametrize("arch, seed", sorted(GOLDEN_BRUTEFORCE_TRACES))
+def test_bruteforce_golden_trace(arch, seed):
+    # the acceptance-6 graph shape at n=40: 780 candidates per edit epoch
+    g = _acceptance6_graph(seed, n=40)
+    p = init_params(arch, g.d, 8, 2, seed=seed)
+    _, g_out, trace = train_bruteforce(p, g, Adam(0.05),
+                                       EditTrainConfig(alpha=2, K=3, seed=seed))
+    assert set(trace.selection_forwards.values()) == {40 * 39 // 2 + 1}
+    assert _digests(trace, g_out) == GOLDEN_BRUTEFORCE_TRACES[arch, seed]

@@ -578,6 +578,34 @@ def test_build_rejects_non_finite_features(bad):
         g.replace(features=features).validate()
 
 
+def _mask_of_shape(shape):
+    mask = np.zeros(shape, dtype=bool)
+    mask.flat[0] = True
+    return mask
+
+
+@pytest.mark.parametrize("shape", [(2,), (4,), (3, 1), (1, 3), ()])
+@pytest.mark.parametrize("name", ["train_mask", "val_mask", "test_mask"])
+def test_build_rejects_mask_not_one_per_node(name, shape):
+    # a length-2 mask used to pass and fail later in train_step with an
+    # IndexError; (3, 1) and (1, 3) passed silently
+    masks = {"train_mask": [False, True, False], "val_mask": [False, False, True],
+             "test_mask": [True, False, False]}
+    masks[name] = _mask_of_shape(shape)
+    with pytest.raises(GraphError, match=rf"^{name} must have shape \(3,\)"):
+        Graph.build(np.zeros((3, 2)), [(0, 1)], [0, 1, 0], [0, 1, 1], 0, **masks)
+    g = Graph.build(np.zeros((3, 2)), [(0, 1)], [0, 1, 0], [0, 1, 1], 0)
+    with pytest.raises(GraphError, match=rf"^{name} must have shape \(3,\)"):
+        g.replace(**{name: masks[name]}).validate()
+
+
+def test_build_rejects_masks_of_different_lengths():
+    # the overlap check used to raise NumPy's broadcast ValueError
+    with pytest.raises(GraphError, match=r"^val_mask must have shape \(3,\)"):
+        Graph.build(np.zeros((3, 2)), [], [0, 1, 0], [0, 1, 1], 0,
+                    train_mask=[True, False, False], val_mask=[False, True])
+
+
 def test_validate_rejects_unsorted_array():
     g = _build(3, [(0, 1), (1, 2)], [0, 1, 0])
     bad = g.replace(pairs=np.array([[1, 2], [0, 1]], dtype=np.int64))

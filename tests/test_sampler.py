@@ -1,16 +1,17 @@
-"""The Sampled candidate policy against the dense n x n sampler it replaced:
-the same batch, array for array, on the same seed, at a fraction of the
-time and memory."""
+"""The Sampled candidate policy and the synthetic SBM graph against the
+dense all-pairs code they replaced: the same arrays on the same seed, at a
+fraction of the time and memory."""
 import time
 import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import fairedit.graph as graph_mod
-from fairedit.graph import Graph, Sampled, candidate_edits
+from fairedit.graph import (FEATURE_SIGNAL, Graph, GraphError, Sampled,
+                            SyntheticSpec, candidate_edits, synth_biased_graph)
 
 
 def dense_sampled(graph: Graph, policy: Sampled):
@@ -141,3 +142,90 @@ def test_sampler_time_and_memory_at_n4000():
     (new_t, new_peak), (old_t, old_peak) = map(min, zip(*new)), map(min, zip(*old))
     assert new_t <= 0.25 * old_t, (new_t, old_t)
     assert new_peak <= 0.25 * old_peak, (new_peak, old_peak)
+
+
+# ---------------------------------------------------------------------------
+# the synthetic SBM graph
+
+def dense_synth_biased_graph(spec: SyntheticSpec) -> Graph:
+    """Oracle: the former `synth_biased_graph`. It lists all n(n-1)/2 node
+    pairs, splits them into intra- and cross-group lists and draws each
+    kind's edges from its list."""
+    spec.validate()
+    rng = np.random.default_rng(spec.seed)
+    n = spec.n
+    s = np.zeros(n, dtype=np.int64)
+    n1 = int(round(spec.groups * n))
+    s[rng.permutation(n)[:n1]] = 1
+    agree = rng.random(n) < (1.0 + spec.label_bias) / 2.0
+    y = np.where(agree, s, 1 - s)
+    m = int(round(spec.edge_density * n / 2.0))
+    m_intra = int(round(m * spec.homophily))
+    m_cross = m - m_intra
+    uu, vv = np.triu_indices(n, k=1)
+    intra_mask = s[uu] == s[vv]
+    intra_pairs = np.flatnonzero(intra_mask)
+    cross_pairs = np.flatnonzero(~intra_mask)
+    if m_intra > len(intra_pairs) or m_cross > len(cross_pairs):
+        raise GraphError("infeasible edge density for this node count")
+    pick_i = rng.choice(intra_pairs, size=m_intra, replace=False)
+    pick_c = rng.choice(cross_pairs, size=m_cross, replace=False)
+    pick = np.concatenate([pick_i, pick_c])
+    feats = np.empty((n, 1 + spec.n_features))
+    feats[:, 0] = s
+    feats[:, 1:] = rng.normal(loc=FEATURE_SIGNAL * y[:, None],
+                              size=(n, spec.n_features))
+    return Graph.build(feats, np.stack([uu[pick], vv[pick]], axis=1), s, y,
+                       sensitive_col=0)
+
+
+_SYNTH_FIELDS = ("features", "pairs", "sensitive", "labels", "train_mask",
+                 "val_mask", "test_mask")
+
+
+def _synth_outcome(make, spec):
+    try:
+        return make(spec)
+    except GraphError as e:
+        return str(e)
+
+
+@st.composite
+def _synth_specs(draw):
+    """Specs from tiny to mid-sized, one group only among them, with edge
+    densities up to and past what the node count allows."""
+    n = draw(st.integers(4, 60))
+    unit = st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0, 1)
+    return SyntheticSpec(n=n, homophily=draw(unit),
+                         edge_density=draw(st.floats(0.01, n + 1.0)),
+                         label_bias=draw(unit), groups=draw(unit),
+                         seed=draw(st.integers(0, 2**32 - 1)),
+                         n_features=draw(st.integers(0, 3)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(spec=_synth_specs())
+# one group only, so no cross pair to draw from; and no intra edge wanted
+@example(spec=SyntheticSpec(n=8, homophily=1.0, edge_density=2, label_bias=0.5,
+                            groups=0.0, seed=1))
+@example(spec=SyntheticSpec(n=8, homophily=0.0, edge_density=2, label_bias=0.5,
+                            groups=0.5, seed=1))
+def test_synth_biased_graph_equals_dense_oracle(spec):
+    got = _synth_outcome(synth_biased_graph, spec)
+    want = _synth_outcome(dense_synth_biased_graph, spec)
+    if isinstance(want, str):
+        assert got == want
+        return
+    for name in _SYNTH_FIELDS:
+        x, y = getattr(got, name), getattr(want, name)
+        assert (x.dtype, x.shape) == (y.dtype, y.shape), name
+        assert x.tobytes() == y.tobytes(), name
+    assert got.sensitive_col == want.sensitive_col
+
+
+def test_synth_biased_graph_memory_at_n4000():
+    spec = SyntheticSpec(n=4000, homophily=0.7, edge_density=3, label_bias=0.5,
+                         seed=2)
+    new, old = _cost(lambda: synth_biased_graph(spec)), \
+        _cost(lambda: dense_synth_biased_graph(spec))
+    assert new[1] <= 0.1 * old[1], (new[1], old[1])
