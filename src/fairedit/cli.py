@@ -18,8 +18,8 @@ from . import models
 from .autodiff import Adam, SGD
 from .editing import CandidateCapExceeded, EditTrainConfig, train_bruteforce, train_fairedit
 from .graph import (Graph, GraphError, SyntheticSpec, load_edge_list,
-                    load_node_table, normalize_features, synth_biased_graph,
-                    with_split)
+                    load_node_table, normalize_features, text_lines,
+                    synth_biased_graph, with_split)
 from .metrics import MetricUndefinedError, delta_eo, delta_sp, evaluate, f1_score
 
 EXIT_OK = 0
@@ -183,18 +183,21 @@ def parse_config(path: str | None = None, overrides: dict | None = None) -> Expe
     """Flat key = value config file; overrides (CLI flags) win."""
     cfg = ExperimentConfig()
     if path is not None:
-        with open(path) as fh:
-            for i, ln in enumerate(fh, start=1):
-                ln = ln.split("#", 1)[0].strip()
-                if not ln:
-                    continue
-                if "=" not in ln:
-                    raise ConfigError(f"{path}:{i}: expected key = value")
-                key, value = (x.strip() for x in ln.split("=", 1))
-                try:
-                    _apply_kv(cfg, key, value)
-                except ConfigError as e:
-                    raise ConfigError(f"{path}:{i}: {e}") from e
+        try:
+            lines = list(text_lines(path))
+        except GraphError as e:
+            raise ConfigError(str(e)) from e
+        for i, ln in enumerate(lines, start=1):
+            ln = ln.split("#", 1)[0].strip()
+            if not ln:
+                continue
+            if "=" not in ln:
+                raise ConfigError(f"{path}:{i}: expected key = value")
+            key, value = (x.strip() for x in ln.split("=", 1))
+            try:
+                _apply_kv(cfg, key, value)
+            except ConfigError as e:
+                raise ConfigError(f"{path}:{i}: {e}") from e
     for key, value in (overrides or {}).items():
         if value is not None:
             _apply_kv(cfg, key, value)

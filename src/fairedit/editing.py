@@ -12,7 +12,7 @@ from . import autodiff as ad
 from . import models
 from .graph import (ADD, EdgeEdit, EditBatch, Exhaustive, Graph, GraphError,
                     Sampled, apply_edit, apply_edits, apply_pair, candidate_edits,
-                    counterfactual_twin, twin_sharing_nodes)
+                    counterfactual_twin)
 from .metrics import counterfactual_unfairness
 
 
@@ -96,39 +96,127 @@ def _frozen(params):
 # ---------------------------------------------------------------------------
 # Brute-force selection
 
+# candidate rows prepared by one vectorized pass of brute_force_select: the
+# pass's arrays are O(CANDIDATE_CHUNK * (m + n)); no result depends on it
+CANDIDATE_CHUNK = 8
+
+
 class _EpochTwin:
     """What the candidates of one brute-force epoch share, built once from
     the base graph with no model forward: the base graph's counterfactual
-    twin, whose node arrays every candidate's twin reuses, and for GCN and
-    SAGE the twin's layer-0 propagation and each node's rows in both halves
-    of the twin (the node and its neighbours)."""
+    twin, whose node arrays every candidate's twin reuses, the base degrees,
+    each node's one-hop neighbourhood (an n x n boolean matrix, with the
+    node itself), and for GCN and SAGE the twin's layer-0 propagation.
+
+    `prepare` turns a chunk of candidate rows into candidate graphs with
+    vectorized passes, one for the chunk's deletes and one for its adds (a
+    kind's candidates all have the same edge count): every edited pair and
+    key array, and of every twin the pairs, degrees, directed edges and
+    coefficients in the layout of `NormalizedAdjacency.__init__`, and for
+    GCN and SAGE the layer 0: the base one with the rows of {u, v} and
+    their neighbours recomputed in both halves, kept as a `RowPatch` that
+    the candidate's forward makes whole. An edit changes degrees only at u
+    and v, so every other row keeps its incoming edges, their order and
+    their coefficients, and its base value is exact. Each candidate graph
+    views those arrays, with its twin attached as `_twin` and the twin's
+    adjacency as `_adj`."""
 
     def __init__(self, graph: Graph, architecture: str):
-        self.architecture = architecture
+        self.graph, self.architecture = graph, architecture
         self.twin = counterfactual_twin(graph)
-        self.layer0 = None
-        if architecture == "appnp":   # no layer-0 cache to patch
-            return
-        self.layer0 = models.adjacency(self.twin).first_layer(architecture)
         n, p = graph.n, graph.pairs
-        node = np.concatenate([p[:, 0], p[:, 1], np.arange(n)])
-        rows = np.concatenate([p[:, 1], p[:, 0], np.arange(n)])
-        rows = rows[np.argsort(node, kind="stable")]
-        ends = np.cumsum(np.bincount(node, minlength=n))[:-1]
-        self.rows = [np.concatenate([r, r + n]) for r in np.split(rows, ends)]
+        self.deg = graph.degrees()
+        self.near = np.eye(n, dtype=bool)
+        self.near[p[:, 0], p[:, 1]] = self.near[p[:, 1], p[:, 0]] = True
+        self.layer0 = None
+        if architecture != "appnp":   # APPNP starts with a matmul: no layer 0
+            self.layer0 = models.adjacency(self.twin).first_layer(architecture).values
 
-    def attach(self, edited: Graph, u: int, v: int) -> None:
-        """Attach its counterfactual twin to `edited`, the base graph with
-        pair (u, v) added or deleted. An edit changes degrees only at u and
-        v, so only the rows of u, v and their neighbours see new coefficients
-        or edges; for GCN and SAGE the twin's adjacency gets the base twin's
-        layer 0 with just those rows recomputed, in both halves."""
-        twin = twin_sharing_nodes(edited, self.twin)
+    def prepare(self, kinds: np.ndarray, pairs: np.ndarray) -> list:
+        """The candidate graphs of the batch rows `kinds`, `pairs`, in row
+        order; the first bad row is refused as `apply_pair` refuses it."""
+        g = self.graph
+        n, m = g.n, len(g.pairs)
+        add = kinds == ADD
+        u, v = pairs[:, 0], pairs[:, 1]
+        key = u * n + v
+        pos = np.searchsorted(g.keys, key)
+        present = np.zeros(len(key), dtype=bool)
+        hit = pos < m
+        present[hit] = g.keys[pos[hit]] == key[hit]
+        bad = (u < 0) | (v >= n) | (present == add)
+        if bad.any():
+            i = int(np.argmax(bad))
+            apply_pair(g, bool(add[i]), int(u[i]), int(v[i]))   # raises
+        out = [None] * len(kinds)
+        for kind in (False, True):
+            rows = np.flatnonzero(add == kind)
+            if len(rows):
+                made = self._prepare(kind, pairs[rows], key[rows], pos[rows])
+                for r, cand in zip(rows.tolist(), made):
+                    out[r] = cand
+        return out
+
+    def _prepare(self, add: bool, pairs, key, pos) -> list:
+        """Candidate graphs of edits of one kind (`add`) on `pairs`, whose
+        keys `key` have lookup positions `pos` in the base keys."""
+        g, twin = self.graph, self.twin
+        n, m, c = g.n, len(g.pairs), len(pairs)
+        u, v = pairs[:, 0], pairs[:, 1]
+        step = 1 if add else -1
+        # edge r of candidate i: the base edge r before its edit position,
+        # its own pair at it (an add), the base edges shifted after it
+        i, r = np.arange(c), np.arange(m + step)
+        after = r >= pos[:, None]
+        take = r - after if add else r + after
+        if add:
+            take[i, pos] = m + i
+        edges = np.concatenate([g.pairs, pairs]).take(take, axis=0)
+        keys = np.concatenate([g.keys, key]).take(take)
+        deg = np.repeat(self.deg[None], c, axis=0)
+        deg[i, u] += step
+        deg[i, v] += step
+        ends = deg.ravel()[edges + n * i[:, None, None]]
+        coef = models.gcn_edge_coef(ends[:, :, 0], ends[:, :, 1])
+        # the twin: [E; E + n], both halves with the candidate's degrees;
+        # its directed edges run src = [E0, E0 + n, E1, E1 + n], dst = [E1,
+        # E1 + n, E0, E0 + n], and each takes the coefficient of its E row
+        twin_pairs = np.concatenate([edges, edges + n], axis=1)
+        src = twin_pairs.transpose(0, 2, 1).reshape(c, -1)
+        dst = twin_pairs[:, :, ::-1].transpose(0, 2, 1).reshape(c, -1)
+        coef = np.concatenate([coef] * 4, axis=1)
+        deg = np.concatenate([deg, deg], axis=1)
+        loop = models.gcn_loop_coef(deg)
+        for a in (edges, keys, twin_pairs, src, dst, coef, deg, loop):
+            a.flags.writeable = False
+        mean = None
+        if self.architecture == "sage":
+            mean = models.sage_mean_coef(deg.ravel()[dst + 2 * n * i[:, None]])
+            mean.flags.writeable = False
+        layer0 = None
         if self.layer0 is not None:
-            models.adjacency(twin).patch_first_layer(
-                self.architecture, self.layer0,
-                np.concatenate((self.rows[u], self.rows[v])))
-        edited._cached("_twin", lambda: twin)
+            near = self.near[u] | self.near[v]
+            rows = np.concatenate([near, near], axis=1)
+            seg = (dst + 2 * n * i[:, None]).ravel()
+            sel = np.flatnonzero(rows.ravel()[seg])
+            w = coef if mean is None else mean
+            layer0 = models.first_layers_patched(
+                self.architecture, twin.features, self.layer0, rows, seg[sel],
+                src.ravel()[sel], w.ravel()[sel], loop)
+
+        out = []
+        for k in range(c):
+            cand = g.replace(pairs=edges[k])
+            cand._cached("_keys", lambda: keys[k])
+            t = twin.replace(pairs=twin_pairs[k])
+            adj = models.NormalizedAdjacency.of_arrays(
+                t.features, deg[k], src[k], dst[k], coef[k], loop[k],
+                None if mean is None else mean[k],
+                None if layer0 is None else {self.architecture: layer0[k]})
+            t._cached("_adj", lambda: adj)
+            cand._cached("_twin", lambda: t)
+            out.append(cand)
+        return out
 
 
 def brute_force_select(params, graph: Graph, candidates, eval_mask):
@@ -137,29 +225,33 @@ def brute_force_select(params, graph: Graph, candidates, eval_mask):
     batch rows; return (edit, score) minimizing it. Ties break by
     (Delete < Add, u, v).
 
-    Each candidate costs one `apply_pair`, one `counterfactual_unfairness`
-    call and one counted full-depth forward on its twin. The twin comes
-    prepared from the epoch's shared state (`_EpochTwin`), attached to the
-    candidate graph: it reuses the base twin's node arrays, and its layer 0
-    is the base twin's with the edit's rows recomputed, bitwise equal to a
-    full recompute; layers >= 1 run in full. The parameters are frozen while
-    scoring, so the forwards record no autodiff tape."""
+    The candidate graphs are prepared CANDIDATE_CHUNK rows at a time by
+    vectorized passes (`_EpochTwin.prepare`): each comes with its twin
+    attached, which shares the base twin's node arrays and whose adjacency
+    and layer-0 rows (GCN, SAGE) are built for the whole chunk, bitwise
+    equal to building them per candidate. A bad row is refused when its
+    chunk is prepared, with `apply_pair`'s message. Each candidate then
+    costs one `counterfactual_unfairness` call, in row order, and with it
+    one counted full-depth forward on its twin; layers >= 1 run in full.
+    The parameters are frozen while scoring, so the forwards record no
+    autodiff tape."""
     candidates = EditBatch.of(candidates)
     if not candidates:
         raise GraphError("brute_force_select: empty candidate list")
     base = _EpochTwin(graph, params.architecture)
     best = None
-    # flat lists: no Python list per row
-    uv = candidates.pairs
-    rows = zip(candidates.kinds.tolist(), uv[:, 0].tolist(), uv[:, 1].tolist())
     with _frozen(params):     # scoring runs no backward
-        for i, (kind, u, v) in enumerate(rows):
-            edited = apply_pair(graph, kind == ADD, u, v)
-            base.attach(edited, u, v)
-            fc = counterfactual_unfairness(params, edited, eval_mask)
-            key = (fc, kind, u, v)
-            if best is None or key < best[0]:
-                best = (key, i)
+        for lo in range(0, len(candidates), CANDIDATE_CHUNK):
+            kinds = candidates.kinds[lo:lo + CANDIDATE_CHUNK]
+            uv = candidates.pairs[lo:lo + CANDIDATE_CHUNK]
+            graphs = None    # free the previous chunk before making this one
+            graphs = base.prepare(kinds, uv)
+            rows = zip(kinds.tolist(), uv[:, 0].tolist(), uv[:, 1].tolist())
+            for i, (kind, u, v) in enumerate(rows, start=lo):
+                fc = counterfactual_unfairness(params, graphs[i - lo], eval_mask)
+                key = (fc, kind, u, v)
+                if best is None or key < best[0]:
+                    best = (key, i)
     (score, *_), i = best
     return candidates.edit(i), score
 

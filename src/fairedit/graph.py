@@ -222,7 +222,16 @@ class Graph:
             np.int64, copy=False)
 
     def replace(self, **kw) -> "Graph":
-        return dataclasses.replace(self, **kw)
+        """This graph with the fields in `kw` replaced, not validated (as
+        `dataclasses.replace`, without its per-call field inspection); the
+        copy starts with no memo."""
+        state = {name: self.__dict__[name] for name in _GRAPH_FIELDS}
+        if not kw.keys() <= state.keys():
+            raise TypeError(f"Graph has no field {sorted(kw.keys() - state.keys())[0]!r}")
+        state.update(kw)
+        g = object.__new__(Graph)
+        g.__dict__.update(state)
+        return g
 
     def validate(self) -> None:
         if self.features.ndim != 2:
@@ -275,8 +284,32 @@ class Graph:
             raise GraphError(msg.format(u=int(u[i]), v=int(v[i])))
 
 
+_GRAPH_FIELDS = tuple(f.name for f in dataclasses.fields(Graph))
+
+
 # ---------------------------------------------------------------------------
 # Ingestion
+
+def text_lines(path):
+    """The lines of a UTF-8 text file without their line ends, read as they
+    are iterated; GraphError, naming the first bad byte, if the file is not
+    valid UTF-8."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            for ln in fh:
+                yield ln.rstrip("\n")
+            return
+        except UnicodeDecodeError:
+            pass
+    # the streaming decoder's offsets are per read: decode at once to find it
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise GraphError(f"{path}: not UTF-8 text ({e.reason} at byte "
+                         f"{e.start})") from None
+
 
 def _detect_delimiter(header: str) -> str:
     return "\t" if header.count("\t") >= header.count(",") else ","
@@ -288,8 +321,7 @@ def load_node_table(path, sensitive_col: str = "sensitive",
     sensitive_index) where sensitive_index locates the sensitive column inside
     the feature matrix (the sensitive column stays in the features; the label
     column is dropped)."""
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+    lines = [ln for ln in text_lines(path) if ln.strip()]
     if not lines:
         raise GraphError(f"{path}: empty node table")
     delim = _detect_delimiter(lines[0])
@@ -333,23 +365,22 @@ def load_edge_list(path, n: int) -> tuple:
     """Read an undirected edge list ("u v" per line, '#' comments). Duplicate
     and reversed lines collapse to one edge."""
     edges = set()
-    with open(path) as fh:
-        for i, ln in enumerate(fh, start=1):
-            ln = ln.split("#", 1)[0].strip()
-            if not ln:
-                continue
-            parts = ln.split()
-            if len(parts) != 2:
-                raise GraphError(f"{path}:{i}: malformed line {ln!r}")
-            try:
-                u, v = int(parts[0]), int(parts[1])
-            except ValueError as e:
-                raise GraphError(f"{path}:{i}: malformed line {ln!r}") from e
-            if u == v:
-                raise GraphError(f"{path}:{i}: self-loop {u}")
-            if not (0 <= u < n and 0 <= v < n):
-                raise GraphError(f"{path}:{i}: node id out of range")
-            edges.add((min(u, v), max(u, v)))
+    for i, ln in enumerate(text_lines(path), start=1):
+        ln = ln.split("#", 1)[0].strip()
+        if not ln:
+            continue
+        parts = ln.split()
+        if len(parts) != 2:
+            raise GraphError(f"{path}:{i}: malformed line {ln!r}")
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError as e:
+            raise GraphError(f"{path}:{i}: malformed line {ln!r}") from e
+        if u == v:
+            raise GraphError(f"{path}:{i}: self-loop {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise GraphError(f"{path}:{i}: node id out of range")
+        edges.add((min(u, v), max(u, v)))
     return tuple(sorted(edges))
 
 
@@ -552,9 +583,10 @@ def counterfactual_twin(graph: Graph) -> Graph:
     construction and is not validated again.
 
     A twin that the maker of `graph` attached to it as `_twin` is returned
-    as is: `brute_force_select` attaches one, built by `twin_sharing_nodes`,
-    to each candidate graph it scores. No twin is kept otherwise, so a
-    graph's twin lives no longer than the caller holds it."""
+    as is: `brute_force_select` attaches one to each candidate graph it
+    scores, sharing the base twin's node arrays, its pairs and adjacency
+    built with those of the other candidates of its chunk. No twin is kept
+    otherwise, so a graph's twin lives no longer than the caller holds it."""
     attached = graph.__dict__.get("_twin")
     if attached is not None:
         return attached
@@ -571,14 +603,6 @@ def counterfactual_twin(graph: Graph) -> Graph:
         np.concatenate([graph.val_mask, graph.val_mask]),
         np.concatenate([graph.test_mask, graph.test_mask]),
     )
-
-
-def twin_sharing_nodes(graph: Graph, twin: Graph) -> Graph:
-    """`counterfactual_twin(graph)`, given `twin`, the counterfactual twin of
-    a graph with `graph`'s node arrays (one edge edit away, say): the new
-    twin shares `twin`'s node arrays and stacks only `graph`'s pairs."""
-    p = graph.pairs
-    return twin.replace(pairs=_readonly(np.concatenate([p, p + graph.n])))
 
 
 # ---------------------------------------------------------------------------

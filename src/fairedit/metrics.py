@@ -56,20 +56,27 @@ def delta_eo(pred, truth, sensitive, mask) -> float:
     return abs(float(np.mean(g1 == 1)) - float(np.mean(g0 == 1)))
 
 
+def _node_mask(metric: str, graph: Graph, mask):
+    """(`mask` as a boolean array, its count of True); refused (ValueError)
+    unless it has one entry per node of `graph`, then (MetricUndefinedError)
+    if it is empty."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (graph.n,):
+        raise ValueError(f"{metric}: mask shape {mask.shape}, want ({graph.n},)")
+    count = np.count_nonzero(mask)
+    if not count:
+        raise MetricUndefinedError(f"{metric}: empty mask")
+    return mask, count
+
+
 def counterfactual_unfairness(params, graph: Graph, mask) -> float:
     """Fraction of masked nodes whose predicted label changes when every
     node's sensitive attribute is flipped.
 
     Runs the model once on the disjoint union of the graph and its flipped
     twin, so each evaluation costs a single forward pass."""
-    mask = np.asarray(mask, dtype=bool)
-    count = np.count_nonzero(mask)
-    if not count:
-        raise MetricUndefinedError("counterfactual_unfairness: empty mask")
+    mask, count = _node_mask("counterfactual_unfairness", graph, mask)
     n = graph.n
-    if mask.shape != (n,):
-        raise ValueError(f"counterfactual_unfairness: mask shape {mask.shape}, "
-                         f"want ({n},)")
     pred = models.predict(models.forward(params, counterfactual_twin(graph)))
     # the mean of the changed labels: an exact count over an exact count
     return float(np.count_nonzero((pred[:n] != pred[n:]) & mask) / count)
@@ -79,9 +86,7 @@ def instability(params, graph: Graph, mask, sigma: float = 0.1,
                 seed: int = 0) -> float:
     """Fraction of masked nodes whose predicted label changes under Gaussian
     feature noise of std sigma."""
-    mask = np.asarray(mask, dtype=bool)
-    if not mask.any():
-        raise MetricUndefinedError("instability: empty mask")
+    mask, _ = _node_mask("instability", graph, mask)
     base = models.predict(models.forward(params, graph))
     return _flip_share(params, graph, mask, base, sigma, seed)
 

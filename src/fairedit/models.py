@@ -29,6 +29,23 @@ def reset_forward_calls() -> int:
     return old
 
 
+def gcn_edge_coef(deg_u, deg_v):
+    """D^-1/2 (A + I) D^-1/2 coefficient of edges with endpoint degrees
+    `deg_u`, `deg_v` (elementwise, any shape)."""
+    return 1.0 / np.sqrt((deg_u + 1.0) * (deg_v + 1.0))
+
+
+def gcn_loop_coef(deg):
+    """Self-loop coefficient of nodes with degrees `deg`."""
+    return 1.0 / (deg + 1.0)
+
+
+def sage_mean_coef(deg_dst):
+    """Neighbour-mean coefficient (no self loop) of edges into nodes with
+    degrees `deg_dst`: 1 / deg, with 1 for an isolated node."""
+    return 1.0 / np.maximum(deg_dst, 1).astype(np.float64)
+
+
 class NormalizedAdjacency:
     """Per-edge coefficients of the self-loop-augmented, symmetrically
     normalized adjacency D^-1/2 (A + I) D^-1/2 of a graph, stored as directed
@@ -37,80 +54,112 @@ class NormalizedAdjacency:
     only masked and SAGE forwards read them.
 
     The unmasked first-layer propagation of the graph's features uses no
-    model parameters, so it is also computed on first use and then shared;
-    `patch_first_layer` fills it instead from a nearby graph's, bitwise.
+    model parameters, so it is also computed on first use and then shared.
+    `of_arrays` makes an adjacency from arrays built elsewhere with the
+    coefficient functions above, optionally with its layer 0 given as a
+    `RowPatch` of a nearby graph's (see `first_layers_patched`).
     `forward` keeps one adjacency per Graph, in the graph's memo; the
-    adjacency keeps the graph's features and edge count, not the graph, so
-    the memo makes no reference cycle and a dropped graph is freed at once."""
+    adjacency keeps the graph's features, not the graph, so the memo makes
+    no reference cycle and a dropped graph is freed at once."""
 
     def __init__(self, graph: Graph):
-        self.features = graph.features
-        self.m = len(graph.pairs)
-        self.deg = deg = graph.degrees()
+        deg = graph.degrees()
         u, v = graph.pairs[:, 0], graph.pairs[:, 1]
-        c = 1.0 / np.sqrt((deg[u] + 1.0) * (deg[v] + 1.0))
-        self.src = np.concatenate([u, v])
-        self.dst = np.concatenate([v, u])
-        self.coef = np.concatenate([c, c])
-        self.self_coef = 1.0 / (deg + 1.0)
-        self._first_layer = {}
+        c = gcn_edge_coef(deg[u], deg[v])
+        self._fill(graph.features, deg, np.concatenate([u, v]),
+                   np.concatenate([v, u]), np.concatenate([c, c]),
+                   gcn_loop_coef(deg), {})
+
+    @classmethod
+    def of_arrays(cls, features, deg, src, dst, coef, self_coef,
+                  mean_coef=None, layer0=None) -> "NormalizedAdjacency":
+        """The adjacency of a graph with node `features` and degrees `deg`,
+        from its directed `src`, `dst` and `coef` in the order of
+        `__init__`, its `self_coef` and, if known, its `mean_coef`;
+        `layer0`, if given, maps an architecture to a `RowPatch` that makes
+        its first layer."""
+        adj = cls.__new__(cls)
+        adj._fill(features, deg, src, dst, coef, self_coef, dict(layer0 or {}))
+        if mean_coef is not None:
+            adj.mean_coef = mean_coef
+        return adj
+
+    def _fill(self, features, deg, src, dst, coef, self_coef, first_layer) -> None:
+        self.features, self.deg = features, deg
+        self.src, self.dst, self.coef, self.self_coef = src, dst, coef, self_coef
+        self._first_layer = first_layer
 
     @cached_property
     def score_idx(self) -> np.ndarray:
-        return np.concatenate([np.arange(self.m), np.arange(self.m)])
+        m = len(self.src) // 2
+        return np.concatenate([np.arange(m), np.arange(m)])
 
     @cached_property
     def mean_coef(self) -> np.ndarray:
-        # neighbor-mean coefficients (no self loop): 1 / deg(dst)
-        safe = np.maximum(self.deg, 1)
-        return 1.0 / safe[self.dst].astype(np.float64)
+        return sage_mean_coef(self.deg[self.dst])
 
     def first_layer(self, architecture: str) -> Tensor:
         """Layer 0 of an unmasked GCN or SAGE model on the graph's features,
-        before its weights; computed on first use, then shared."""
+        before its weights, read-only; computed on first use, then shared.
+        One given as a `RowPatch` is made anew from it on each use."""
         out = self._first_layer.get(architecture)
+        if isinstance(out, RowPatch):
+            return out.layer()
         if out is None:
-            out = self._keep(architecture,
-                             _PROPAGATE[architecture](Tensor(self.features), self, {}))
-        return out
-
-    def patch_first_layer(self, architecture: str, base: Tensor, rows) -> None:
-        """Fill layer 0's cache from `base`, the first layer of another
-        adjacency on the same features. Every node outside `rows` must have
-        the same incoming edges there, in the same order and with the same
-        coefficients: its row of `base` is kept. The rows in `rows` (repeats
-        allowed) are recomputed from this adjacency's own coefficients by
-        `_segment_rows`, so the result is bitwise the full propagation."""
-        x, out = self.features, base.values.copy()
-        n, d = x.shape
-        inside = np.zeros(n, dtype=bool)
-        inside[rows] = True
-        sel = np.flatnonzero(inside[self.dst])
-        if architecture == "gcn":
-            nb = _segment_rows(self.dst, self.src, self.coef, x, sel)
-            out[rows] = nb[rows] + self.self_coef[rows, None] * x[rows]
-        else:   # sage: the features, then the neighbour means
-            nb = _segment_rows(self.dst, self.src, self.mean_coef, x, sel)
-            out[rows, d:] = nb[rows]
-        self._keep(architecture, Tensor(out))
-
-    def _keep(self, architecture: str, out: Tensor) -> Tensor:
-        out.values.flags.writeable = False   # no forward may write into it
-        self._first_layer[architecture] = out
+            out = _PROPAGATE[architecture](Tensor(self.features), self, {})
+            out.values.flags.writeable = False   # no forward may write into it
+            self._first_layer[architecture] = out
         return out
 
 
-def _segment_rows(idx, gather, w, x: np.ndarray, sel) -> np.ndarray:
-    """`autodiff._segment_sum` over the edges `sel` only, in one bincount
-    over (edge, column) pairs: bin idx_e * k + j takes w_e * x[gather_e, j].
-    The (edge, column) terms are laid out edge by edge, so each bin adds its
-    edges in edge order, as the per-column bincount does; a row all of whose
-    edges are in `sel` is bitwise that kernel's row, and a row with none is 0."""
-    n, k = x.shape
-    terms = w[sel, None] * x.take(gather[sel], axis=0)
-    bins = idx[sel, None] * k + np.arange(k)
-    return np.bincount(bins.ravel(), weights=terms.ravel(),
-                       minlength=n * k).reshape(n, k)
+class RowPatch:
+    """A layer 0 held as `base` with the rows `rows` replaced by `values` in
+    their last columns. It keeps only those rows, so many of them cost little
+    memory until a forward makes one whole (`layer`)."""
+
+    def __init__(self, base: np.ndarray, rows: np.ndarray, values: np.ndarray):
+        self.base, self.rows, self.values = base, rows, values
+
+    def layer(self) -> Tensor:
+        out = self.base.copy()
+        out[self.rows, out.shape[1] - self.values.shape[1]:] = self.values
+        out.flags.writeable = False
+        return Tensor(out)
+
+
+def first_layers_patched(architecture: str, x: np.ndarray, base: np.ndarray,
+                         rows: np.ndarray, seg, gather, w,
+                         self_coef=None) -> list:
+    """Layer 0 of c adjacencies on the node features `x` (N, d), as c
+    `RowPatch`es: copy k is `base`, the layer 0 of another adjacency on `x`,
+    with the rows marked in `rows` (c, N) recomputed. Every unmarked row of
+    copy k must have the same incoming edges in its adjacency as in base's,
+    in the same order and with the same coefficients. The edges into the
+    marked rows are listed by `seg` (their flat row k * N + dst), `gather`
+    (src) and `w` (coefficient: GCN `coef`, SAGE `mean_coef`), each copy's
+    edges in its adjacency's edge order; `self_coef` (c, N) is GCN's.
+
+    One bincount over (marked row, column) bins: the bin of edge e and
+    column j takes w_e * x[gather_e, j], and the terms are laid out edge by
+    edge, so each bin adds its edges in edge order, as the per-column
+    bincount of `edge_aggregate` does. A recomputed row is then bitwise the
+    full propagation's."""
+    c, n = rows.shape
+    d = x.shape[1]
+    at = np.flatnonzero(rows)      # the marked rows, flat: k * n + node
+    terms = w[:, None] * x.take(gather, axis=0)
+    bins = np.searchsorted(at, seg)[:, None] * d + np.arange(d)
+    nb = np.bincount(bins.ravel(), weights=terms.ravel(),
+                     minlength=len(at) * d).reshape(-1, d)
+    node = at % n
+    if architecture == "gcn":
+        nb = nb + self_coef.ravel()[at, None] * x[node]
+    nb.flags.writeable = False
+    # a SAGE layer 0 is the features, then the neighbour means: a patch
+    # fills the last d columns
+    bounds = np.searchsorted(at, np.arange(c + 1) * n).tolist()
+    return [RowPatch(base, node[lo:hi], nb[lo:hi])
+            for lo, hi in zip(bounds, bounds[1:])]
 
 
 SATURATING_SCORE = 50.0

@@ -1,8 +1,11 @@
 """Brute-force candidates against the path they replaced: each candidate's
 counterfactual twin stacked from scratch and run through a full forward.
-`brute_force_select` now hands every candidate graph a prepared twin that
-shares the epoch's node arrays and patches only the edit's layer-0 rows;
-every array, logit and selection must stay bitwise the same."""
+`brute_force_select` now prepares the candidate graphs a chunk of rows at a
+time, each with a twin that shares the epoch's node arrays, whose adjacency
+is built for the whole chunk and whose layer 0 has only the edit's rows
+recomputed; every array, logit and selection must stay bitwise the same."""
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,9 +14,10 @@ from hypothesis import strategies as st
 import fairedit.editing as editing
 from fairedit import models
 from fairedit.graph import (ADD, EdgeEdit, EditKind, Exhaustive, Graph,
-                            GraphError, apply_pair, candidate_edits,
-                            counterfactual_twin)
-from fairedit.models import forward, init_params, predict
+                            GraphError, SyntheticSpec, apply_pair,
+                            candidate_edits, counterfactual_twin,
+                            synth_biased_graph, with_split)
+from fairedit.models import NormalizedAdjacency, forward, init_params, predict
 
 _NODE_FIELDS = ("features", "sensitive", "labels", "train_mask", "val_mask",
                 "test_mask")
@@ -98,7 +102,8 @@ _CORNERS = {
 def _corner_examples(test):
     for g in _CORNERS.values():
         for arch in models.ARCHITECTURES:
-            test = example(g=g, arch=arch, depth=2, seed=1)(test)
+            for chunk in (1, 3, editing.CANDIDATE_CHUNK):
+                test = example(g=g, arch=arch, depth=2, seed=1, chunk=chunk)(test)
     return test
 
 
@@ -109,9 +114,11 @@ def _bytes_equal(x, y, what):
 
 @settings(max_examples=120, deadline=None)
 @given(g=_graphs(), arch=st.sampled_from(models.ARCHITECTURES),
-       depth=st.integers(1, 3), seed=st.integers(0, 2**16))
+       depth=st.integers(1, 3), seed=st.integers(0, 2**16),
+       chunk=st.sampled_from([1, 2, 3, 5, editing.CANDIDATE_CHUNK]))
 @_corner_examples
-def test_every_candidate_equals_full_twin_forward(g, arch, depth, seed):
+def test_every_candidate_equals_full_twin_forward(g, arch, depth, seed, chunk):
+    # small chunks end inside runs of adds and of deletes, and mix the two
     params = init_params(arch, g.d, 4, depth, seed=seed)
     if seed % 2:     # lean on the sensitive column, so that edits change labels
         params.weights[0].values[g.sensitive_col] += 3.0
@@ -127,6 +134,7 @@ def test_every_candidate_equals_full_twin_forward(g, arch, depth, seed):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(editing, "counterfactual_unfairness", spy)
+        mp.setattr(editing, "CANDIDATE_CHUNK", chunk)
         got = editing.brute_force_select(params, g, candidate_edits(g, Exhaustive()), mask)
 
     batch = candidate_edits(g, Exhaustive())
@@ -136,15 +144,21 @@ def test_every_candidate_equals_full_twin_forward(g, arch, depth, seed):
         what = f"{arch} depth {depth}, {'add' if kind == ADD else 'delete'} ({u}, {v})"
         # the twin the metric ran on is the one attached to the candidate
         assert twin is edited.__dict__["_twin"], what
-        want = oracle_twin(apply_pair(g, kind == ADD, u, v))
+        applied = apply_pair(g, kind == ADD, u, v)
+        for name in ("pairs", "keys"):
+            _bytes_equal(getattr(edited, name), getattr(applied, name), f"{what}: {name}")
+        assert not edited.pairs.flags.writeable and not edited.keys.flags.writeable
+        want = oracle_twin(applied)
         for name in _NODE_FIELDS + ("pairs",):
             _bytes_equal(getattr(twin, name), getattr(want, name), f"{what}: {name}")
         assert twin.sensitive_col == want.sensitive_col
         assert not twin.pairs.flags.writeable
+        adj, want_adj = models.adjacency(twin), NormalizedAdjacency(want)
+        for name in ("deg", "src", "dst", "coef", "self_coef", "mean_coef"):
+            _bytes_equal(getattr(adj, name), getattr(want_adj, name), f"{what}: {name}")
         if arch != "appnp":
-            _bytes_equal(models.adjacency(twin).first_layer(arch).values,
-                         models.adjacency(want).first_layer(arch).values,
-                         f"{what}: layer 0")
+            _bytes_equal(adj.first_layer(arch).values,
+                         want_adj.first_layer(arch).values, f"{what}: layer 0")
         want_logits = forward(params, want).values
         np.testing.assert_array_equal(logits, want_logits, err_msg=what)
         _bytes_equal(logits, want_logits, f"{what}: logits")
@@ -187,3 +201,54 @@ def test_scoring_leaves_parameter_flags_as_found():
     with pytest.raises(GraphError, match="Add of existing"):
         editing.brute_force_select(params, g, [EdgeEdit.add(0, 1)], g.train_mask)
     assert [t.requires_grad for t in params.parameters()] == want
+
+
+@pytest.mark.parametrize("bad", [EdgeEdit.add(0, 1), EdgeEdit.delete(1, 2),
+                                 EdgeEdit.add(3, 9)],
+                         ids=["add of existing", "delete of missing", "out of range"])
+def test_bad_row_in_a_later_chunk_is_refused_as_apply_pair_refuses_it(bad, monkeypatch):
+    g = _CORNERS["star"]
+    monkeypatch.setattr(editing, "CANDIDATE_CHUNK", 2)
+    params = init_params("gcn", g.d, 4, 2, seed=0)
+    params.weights[1].requires_grad = False
+    flags = [t.requires_grad for t in params.parameters()]
+    # rows 0-3 fill two chunks; the bad row opens the third, beside a good one
+    rows = [EdgeEdit.add(1, 2), EdgeEdit.delete(0, 3), EdgeEdit.add(2, 3),
+            EdgeEdit.delete(0, 1), bad, EdgeEdit.add(3, 4)]
+    with pytest.raises(GraphError) as want:
+        apply_pair(g, bad.kind is EditKind.ADD, bad.u, bad.v)
+    with pytest.raises(GraphError) as got:
+        editing.brute_force_select(params, g, rows, g.train_mask)
+    assert str(got.value) == str(want.value)
+    assert [t.requires_grad for t in params.parameters()] == flags
+
+
+def test_unsorted_and_repeated_rows_score_as_the_oracle(monkeypatch):
+    g = _CORNERS["near-complete"]
+    params = init_params("sage", g.d, 4, 2, seed=3)
+    params.weights[0].values[g.sensitive_col] += 3.0
+    batch = candidate_edits(g, Exhaustive())
+    order = np.random.default_rng(0).permutation(np.repeat(np.arange(len(batch)), 2))
+    rows = [batch.edit(int(i)) for i in order]
+    want = oracle_select(params, g, g.train_mask)
+    for chunk in (1, 3, 5):
+        monkeypatch.setattr(editing, "CANDIDATE_CHUNK", chunk)
+        edit, score = editing.brute_force_select(params, g, rows, g.train_mask)
+        # the same minimum, and the same tie-break over the (kind, u, v) rows
+        assert (edit, score) == want
+
+
+def test_one_selection_at_n200_peaks_under_2mb():
+    # the acceptance-5 graph and model: candidates are made a chunk at a time,
+    # so the peak does not grow with the n(n-1)/2 rows
+    g = with_split(synth_biased_graph(SyntheticSpec(
+        n=200, homophily=0.7, edge_density=2, label_bias=0.5, seed=0)), seed=0)
+    params = init_params("gcn", g.d, 4, 2, seed=0)
+    batch = candidate_edits(g, Exhaustive())
+    tracemalloc.start()
+    try:
+        editing.brute_force_select(params, g, batch, g.train_mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000, peak

@@ -348,6 +348,19 @@ def _tiny_class_files(tmp_path):
     return ["--nodes", str(nodes), "--edges", str(edges)]
 
 
+def _not_utf8(tmp_path, which):
+    """Valid inputs except that file `which` (config, nodes or edges) has a
+    0xff byte, which no UTF-8 text holds, on its second line."""
+    files = dict(zip(("nodes", "edges"), _tiny_class_files(tmp_path)[1::2]))
+    files["config"] = str(tmp_path / "run.cfg")
+    Path(files["config"]).write_text("lr = 0.01\n")
+    path = Path(files[which])
+    text = path.read_bytes().split(b"\n")
+    path.write_bytes(b"\n".join([text[0], b"\xff" + text[1], *text[2:]]))
+    return ["--config", files["config"], "--nodes", files["nodes"],
+            "--edges", files["edges"]]
+
+
 _TRAIN = ["--model", "gcn", "--method", "standard", "--lr", "0.01",
           "--hidden", "4", "--depth", "2", "--k", "2", "--seed", "0"]
 
@@ -427,6 +440,23 @@ def test_main_error_contract(tmp_path, capsys, case, args, code, prefix):
     assert rc == code, (case, err)
     assert len(lines) == 1 and lines[0].startswith(prefix), (case, err)
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("which,code,prefix", [
+    ("config", EXIT_CONFIG, "config error: "),
+    ("nodes", EXIT_DATA, "data error: "),
+    ("edges", EXIT_DATA, "data error: "),
+], ids=["config", "nodes", "edges"])
+def test_main_input_not_utf8(tmp_path, capsys, which, code, prefix):
+    args = _not_utf8(tmp_path, which)
+    rc = _exit_code([*_TRAIN, *args])
+    err = capsys.readouterr().err
+    lines = err.splitlines()
+    path = args[args.index("--" + which) + 1]
+    at = Path(path).read_bytes().index(0xFF)
+    assert rc == code, err
+    assert lines == [f"{prefix}{path}: not UTF-8 text (invalid start byte at "
+                     f"byte {at})"], err
 
 
 def test_module_entry_point_error_contract(tmp_path):

@@ -180,6 +180,29 @@ def test_counterfactual_empty_mask():
         counterfactual_unfairness(params, g, np.zeros(5, dtype=bool))
 
 
+@pytest.mark.parametrize("fill", [False, True], ids=["all-false", "all-true"])
+@pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), (1, 5), ()])
+@pytest.mark.parametrize("metric", [counterfactual_unfairness, instability],
+                         ids=lambda f: f.__name__)
+def test_mask_not_one_per_node_is_refused_before_emptiness(metric, shape, fill):
+    # the shape is checked first: an all-False mask of the wrong length is a
+    # wrong mask, not an empty one
+    g = random_graph(5, 0.4, 0)
+    params = init_params("gcn", g.d, 4, 2, seed=0)
+    want = rf"{metric.__name__}: mask shape \({', '.join(map(str, shape))}" \
+           rf"{',' if len(shape) == 1 else ''}\), want \(5,\)"
+    with pytest.raises(ValueError, match=want) as info:
+        metric(params, g, np.full(shape, fill))
+    assert not isinstance(info.value, MetricUndefinedError)
+
+
+def test_instability_empty_mask():
+    g = random_graph(5, 0.4, 0)
+    params = init_params("gcn", g.d, 4, 2, seed=0)
+    with pytest.raises(MetricUndefinedError, match="instability: empty mask"):
+        instability(params, g, np.zeros(5, dtype=bool))
+
+
 def test_instability_sigma_zero():
     g = random_graph(8, 0.4, 2)
     params = init_params("gcn", g.d, 8, 2, seed=0)
