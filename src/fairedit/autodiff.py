@@ -16,19 +16,25 @@ import math
 import numpy as np
 
 
+_FLOAT64 = np.dtype(np.float64)
+
+
 class AutodiffError(ValueError):
     pass
 
 
 class Tensor:
     def __init__(self, values, requires_grad=False, parents=(), backward_fn=None):
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim == 0:
-            v = v.reshape(1, 1)
-        elif v.ndim == 1:
-            v = v[:, None]
-        elif v.ndim != 2:
-            raise AutodiffError("tensors are 2-D matrices")
+        v = values
+        # every op's output is already a 2-D float64 ndarray: kept as it is
+        if type(v) is not np.ndarray or v.dtype is not _FLOAT64 or v.ndim != 2:
+            v = np.asarray(values, dtype=np.float64)
+            if v.ndim == 0:
+                v = v.reshape(1, 1)
+            elif v.ndim == 1:
+                v = v[:, None]
+            elif v.ndim != 2:
+                raise AutodiffError("tensors are 2-D matrices")
         self.values = v
         self.requires_grad = bool(requires_grad)
         self.grad = None
@@ -54,9 +60,9 @@ class Tensor:
 
 
 def _op(values, parents, backward_fn):
-    if any(p.requires_grad for p in parents):
-        return Tensor(values, requires_grad=True, parents=parents,
-                      backward_fn=backward_fn)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(values, True, parents, backward_fn)
     return Tensor(values)
 
 
@@ -185,12 +191,10 @@ def relu(a: Tensor) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1 / (1 + exp(-x)) for x >= 0, exp(x) / (1 + exp(x)) below: never
+    # exp of a positive number, so nothing overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -240,60 +244,136 @@ def l1_diff(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Sparse aggregation
 
-def _segment_sum(idx, gather, w, x: np.ndarray) -> np.ndarray:
+# most terms one np.bincount of `_segment_sum` adds up: it takes the columns
+# in blocks of min(k, SEGMENT_TERMS // edges); no result depends on it
+SEGMENT_TERMS = 1 << 15
+
+
+class _FlatBins(dict):
+    """Flat (edge, column) bins of the segment ids `idx`, per block width,
+    made on first use: edge e's term in column j of a block of width b goes
+    to bin idx_e * b + j, edge by edge."""
+
+    def __init__(self, idx):
+        super().__init__()
+        self.idx = idx
+
+    def __missing__(self, width):
+        out = self[width] = (self.idx[:, None] * width + np.arange(width)).ravel()
+        return out
+
+
+class EdgeIndex:
+    """The directed edges src -> dst that many `edge_aggregate` calls share
+    (an adjacency reused across forwards). It keeps the flat bins of
+    `_segment_sum` per side, dst for the forward and src for the backward,
+    and per block width, each made by the first call that needs it."""
+
+    def __init__(self, src, dst):
+        self.dst_bins = _FlatBins(np.asarray(dst, dtype=np.int64))
+        self.src_bins = _FlatBins(np.asarray(src, dtype=np.int64))
+
+
+class EdgeGate:
+    """The factor sigmoid(scores[score_idx]) of each directed edge, zeroed
+    where `active` is False, that a masked `edge_aggregate` multiplies into
+    its coefficients. One gate serves every layer of a forward; its scores
+    get the gradient."""
+
+    def __init__(self, scores: Tensor, score_idx, active=None):
+        self.scores = scores
+        self.score_idx = np.asarray(score_idx, dtype=np.int64)
+        self.sig = _sigmoid(scores.values[:, 0]).take(self.score_idx)
+        self.act = None if active is None else np.asarray(active, dtype=np.float64)
+
+
+def _segment_sum(idx, gather, w, x: np.ndarray, rows=None, bins=None) -> np.ndarray:
     """out[i, j] = sum of w_e * x[gather_e, j] over edges e with idx_e = i.
 
-    One bincount per column of x: bincount adds each bin's terms in edge
-    order, so the result is bitwise that of a sequential scatter-add of
-    w_e * x[gather_e] into zeros. Gathering from a contiguous column keeps
-    the reads in cache and needs no edges-by-columns temporary."""
+    With `bins`, a `_FlatBins` of idx, the columns go in blocks of
+    kb = min(k, SEGMENT_TERMS // E). A block is one bincount over flat
+    (edge, column) bins idx_e * kb + j laid out edge by edge, so every bin
+    adds its terms in edge order and the result is bitwise that of a
+    sequential scatter-add of w_e * x[gather_e] into zeros. The rows
+    x[gather] are gathered once (or taken from `rows`, which is not
+    written to) and weighted in one (E, k) array.
+
+    Without bins, with no edges, or when blocks would be one column wide,
+    it is one bincount per column of a transposed copy of x: contiguous
+    gathers and no (E, k) temporary, which costs less for one call, or for
+    many edges."""
     n, k = x.shape
-    xt = np.ascontiguousarray(x.T)
-    out = np.empty((n, k))
-    for j in range(k):
-        out[:, j] = np.bincount(idx, weights=w * xt[j][gather], minlength=n)
-    return out
+    kb = 1 if bins is None or not len(idx) else min(k, SEGMENT_TERMS // len(idx))
+    if kb <= 1:
+        xt = np.ascontiguousarray(x.T)
+        out = np.empty((n, k))
+        for j in range(k):
+            out[:, j] = np.bincount(idx, weights=w * xt[j][gather], minlength=n)
+        return out
+    if rows is None:
+        terms = x.take(gather, axis=0)
+        terms *= w[:, None]
+    else:
+        terms = w[:, None] * rows
+    blocks = []
+    for j in range(0, k, kb):
+        part = terms[:, j:j + kb]
+        b = part.shape[1]
+        blocks.append(np.bincount(bins[b], weights=part.ravel(),
+                                  minlength=n * b).reshape(n, b))
+    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
 
 
 def edge_aggregate(h: Tensor, src, dst, coef, self_coef=None,
                    scores: Tensor | None = None, score_idx=None,
-                   active=None) -> Tensor:
+                   active=None, gate: EdgeGate | None = None,
+                   index: EdgeIndex | None = None) -> Tensor:
     """out[v] = sum over directed edges e with dst_e = v of
     coef_e * w_e * h[src_e], plus self_coef[v] * h[v] when self loops are used.
     w_e = sigmoid(scores[score_idx_e]) when a score mask is attached, further
-    zeroed where active_e is False. Gradients flow into h and into scores,
-    each only when it requires one."""
+    zeroed where active_e is False; `gate`, an `EdgeGate`, attaches one
+    computed beforehand instead. `index`, an `EdgeIndex` of these src and
+    dst, lends the segment sums its memoized bins. Gradients flow into h and
+    into the scores, each only when it requires one.
+
+    The forward gathers h's rows by src once and keeps them when the score
+    gradient needs them; the backward gathers the upstream gradient's rows
+    by dst once for both the h and the score gradient."""
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     coef = np.asarray(coef, dtype=np.float64)
-    w = coef.copy()
-    sig = None
-    if scores is not None:
-        score_idx = np.asarray(score_idx, dtype=np.int64)
-        sig = _sigmoid(scores.values[score_idx, 0])
-        w = w * sig
-        if active is not None:
-            w = w * np.asarray(active, dtype=np.float64)
-    out = _segment_sum(dst, src, w, h.values)
+    if gate is None and scores is not None:
+        gate = EdgeGate(scores, score_idx, active)
+    w = coef
+    if gate is not None:
+        w = coef * gate.sig
+        if gate.act is not None:
+            w = w * gate.act
+    score_grad = gate is not None and gate.scores.requires_grad
+    hs = h.values.take(src, axis=0) if score_grad else None
+    out = _segment_sum(dst, src, w, h.values, hs,
+                       None if index is None else index.dst_bins)
     if self_coef is not None:
         out = out + np.asarray(self_coef)[:, None] * h.values
 
-    parents = (h,) if scores is None else (h, scores)
+    parents = (h,) if gate is None else (h, gate.scores)
 
     def back(g):
         gh = gs = None
+        gd = g.take(dst, axis=0) if score_grad else None
         if h.requires_grad:
-            gh = _segment_sum(src, dst, w, g)
+            gh = _segment_sum(src, dst, w, g, gd,
+                              None if index is None else index.src_bins)
             if self_coef is not None:
                 gh += np.asarray(self_coef)[:, None] * g
-        if scores is not None and scores.requires_grad:
-            dw = np.einsum("ek,ek->e", g[dst], h.values[src])
-            act = np.ones_like(coef) if active is None \
-                else np.asarray(active, dtype=np.float64)
-            ds = dw * coef * act * sig * (1.0 - sig)
-            gs = np.bincount(score_idx, weights=ds,
-                             minlength=scores.shape[0]).astype(np.float64, copy=False)[:, None]
-        return (gh,) if scores is None else (gh, gs)
+        if score_grad:
+            ds = np.einsum("ek,ek->e", gd, hs) * coef
+            if gate.act is not None:
+                ds = ds * gate.act
+            ds = ds * gate.sig * (1.0 - gate.sig)
+            gs = np.bincount(gate.score_idx, weights=ds,
+                             minlength=gate.scores.shape[0]).astype(np.float64, copy=False)[:, None]
+        return (gh,) if gate is None else (gh, gs)
     return _op(out, parents, back)
 
 

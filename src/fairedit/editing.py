@@ -3,6 +3,7 @@ fairness, and gradient-based selection through a sigmoid edge-score mask."""
 from __future__ import annotations
 
 import math
+import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -36,6 +37,12 @@ class EditTrainConfig:
     candidate_cap: int = 500        # max node count for exhaustive enumeration
 
     def validate(self) -> None:
+        for name in ("alpha", "K", "mask_iters", "candidate_cap", "seed"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise GraphError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise GraphError("seed must be >= 0")
         if self.alpha < 0 or self.K < 0 or self.alpha > self.K:
             raise GraphError("need 0 <= alpha <= K")
         if not (0.0 <= self.rho <= 1.0 and 0.0 <= self.gamma <= 1.0):
@@ -105,19 +112,22 @@ class _EpochTwin:
     """What the candidates of one brute-force epoch share, built once from
     the base graph with no model forward: the base graph's counterfactual
     twin, whose node arrays every candidate's twin reuses, the base degrees,
-    each node's one-hop neighbourhood (an n x n boolean matrix, with the
-    node itself), and for GCN and SAGE the twin's layer-0 propagation.
+    for GCN and SAGE the twin's layer-0 propagation, and for GCN each node's
+    one-hop neighbourhood (an n x n boolean matrix, with the node itself).
 
     `prepare` turns a chunk of candidate rows into candidate graphs with
     vectorized passes, one for the chunk's deletes and one for its adds (a
     kind's candidates all have the same edge count): every edited pair and
     key array, and of every twin the pairs, degrees, directed edges and
     coefficients in the layout of `NormalizedAdjacency.__init__`, and for
-    GCN and SAGE the layer 0: the base one with the rows of {u, v} and
-    their neighbours recomputed in both halves, kept as a `RowPatch` that
-    the candidate's forward makes whole. An edit changes degrees only at u
-    and v, so every other row keeps its incoming edges, their order and
-    their coefficients, and its base value is exact. Each candidate graph
+    GCN and SAGE the layer 0: the base one with some rows recomputed in
+    both halves, kept as a `RowPatch` that the candidate's forward makes
+    whole. An edit changes degrees only at u and v. A GCN edge coefficient
+    depends on both endpoints' degrees, so the rows of {u, v} and their
+    neighbours are recomputed; a SAGE row's coefficient is 1 / its own
+    degree, so only the rows of u and v are. Every other row keeps its
+    incoming edges, their order and their coefficients, and its base value
+    is exact. Each candidate graph
     views those arrays, with its twin attached as `_twin` and the twin's
     adjacency as `_adj`."""
 
@@ -126,8 +136,10 @@ class _EpochTwin:
         self.twin = counterfactual_twin(graph)
         n, p = graph.n, graph.pairs
         self.deg = graph.degrees()
-        self.near = np.eye(n, dtype=bool)
-        self.near[p[:, 0], p[:, 1]] = self.near[p[:, 1], p[:, 0]] = True
+        self.near = None
+        if architecture == "gcn":
+            self.near = np.eye(n, dtype=bool)
+            self.near[p[:, 0], p[:, 1]] = self.near[p[:, 1], p[:, 0]] = True
         self.layer0 = None
         if architecture != "appnp":   # APPNP starts with a matmul: no layer 0
             self.layer0 = models.adjacency(self.twin).first_layer(architecture).values
@@ -195,7 +207,11 @@ class _EpochTwin:
             mean.flags.writeable = False
         layer0 = None
         if self.layer0 is not None:
-            near = self.near[u] | self.near[v]
+            if self.near is None:   # SAGE
+                near = np.zeros((c, n), dtype=bool)
+                near[i, u] = near[i, v] = True
+            else:
+                near = self.near[u] | self.near[v]
             rows = np.concatenate([near, near], axis=1)
             seg = (dst + 2 * n * i[:, None]).ravel()
             sel = np.flatnonzero(rows.ravel()[seg])

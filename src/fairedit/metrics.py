@@ -15,12 +15,22 @@ class MetricUndefinedError(ValueError):
 
 
 def _masked(arr, mask):
-    return np.asarray(arr)[np.asarray(mask, dtype=bool)]
+    return np.asarray(arr)[mask]
+
+
+def _checked_mask(metric: str, mask, n: int) -> np.ndarray:
+    """`mask` as a boolean array; refused (ValueError) unless it has shape
+    (n,)."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != (n,):
+        raise ValueError(f"{metric}: mask shape {mask.shape}, want ({n},)")
+    return mask
 
 
 def f1_score(pred, truth, mask) -> float:
     """TP / (TP + (FP + FN) / 2); 0 when there are no positives anywhere."""
-    if not np.asarray(mask, dtype=bool).any():
+    mask = _checked_mask("f1_score", mask, len(pred))
+    if not mask.any():
         raise MetricUndefinedError("f1_score: empty mask")
     p = _masked(pred, mask)
     t = _masked(truth, mask)
@@ -35,6 +45,7 @@ def f1_score(pred, truth, mask) -> float:
 
 def delta_sp(pred, sensitive, mask) -> float:
     """|Pr(pred=1 | s=1) - Pr(pred=1 | s=0)| over masked nodes."""
+    mask = _checked_mask("delta_sp", mask, len(pred))
     p = _masked(pred, mask)
     s = _masked(sensitive, mask)
     g1, g0 = p[s == 1], p[s == 0]
@@ -45,6 +56,7 @@ def delta_sp(pred, sensitive, mask) -> float:
 
 def delta_eo(pred, truth, sensitive, mask) -> float:
     """|Pr(pred=1 | y=1, s=1) - Pr(pred=1 | y=1, s=0)| over masked nodes."""
+    mask = _checked_mask("delta_eo", mask, len(pred))
     p = _masked(pred, mask)
     t = _masked(truth, mask)
     s = _masked(sensitive, mask)
@@ -60,9 +72,7 @@ def _node_mask(metric: str, graph: Graph, mask):
     """(`mask` as a boolean array, its count of True); refused (ValueError)
     unless it has one entry per node of `graph`, then (MetricUndefinedError)
     if it is empty."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (graph.n,):
-        raise ValueError(f"{metric}: mask shape {mask.shape}, want ({graph.n},)")
+    mask = _checked_mask(metric, mask, graph.n)
     count = np.count_nonzero(mask)
     if not count:
         raise MetricUndefinedError(f"{metric}: empty mask")

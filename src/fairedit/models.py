@@ -60,7 +60,15 @@ class NormalizedAdjacency:
     `RowPatch` of a nearby graph's (see `first_layers_patched`).
     `forward` keeps one adjacency per Graph, in the graph's memo; the
     adjacency keeps the graph's features, not the graph, so the memo makes
-    no reference cycle and a dropped graph is freed at once."""
+    no reference cycle and a dropped graph is freed at once.
+
+    An adjacency made from a graph is reused by many forwards and
+    backwards, so it also holds an `ad.EdgeIndex` of its directed edges,
+    in which the aggregation kernel keeps its flat bins. One made by
+    `of_arrays` serves one forward: its `index` is None, and its
+    aggregations make no bins to keep."""
+
+    index = None
 
     def __init__(self, graph: Graph):
         deg = graph.degrees()
@@ -69,6 +77,7 @@ class NormalizedAdjacency:
         self._fill(graph.features, deg, np.concatenate([u, v]),
                    np.concatenate([v, u]), np.concatenate([c, c]),
                    gcn_loop_coef(deg), {})
+        self.index = ad.EdgeIndex(self.src, self.dst)
 
     @classmethod
     def of_arrays(cls, features, deg, src, dst, coef, self_coef,
@@ -106,7 +115,7 @@ class NormalizedAdjacency:
         if isinstance(out, RowPatch):
             return out.layer()
         if out is None:
-            out = _PROPAGATE[architecture](Tensor(self.features), self, {})
+            out = _PROPAGATE[architecture](Tensor(self.features), self, None)
             out.values.flags.writeable = False   # no forward may write into it
             self._first_layer[architecture] = out
         return out
@@ -240,14 +249,14 @@ def _same_graph(a: Graph, b: Graph) -> bool:
     return a is b or (a.n == b.n and np.array_equal(a.keys, b.keys))
 
 
-def _gcn_propagate(h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
+def _gcn_propagate(h: Tensor, adj: NormalizedAdjacency, gate) -> Tensor:
     return ad.edge_aggregate(h, adj.src, adj.dst, adj.coef,
-                             self_coef=adj.self_coef, **mk)
+                             self_coef=adj.self_coef, gate=gate, index=adj.index)
 
 
-def _sage_propagate(h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
+def _sage_propagate(h: Tensor, adj: NormalizedAdjacency, gate) -> Tensor:
     nb = ad.edge_aggregate(h, adj.src, adj.dst, adj.mean_coef,
-                           self_coef=None, **mk)
+                           gate=gate, index=adj.index)
     return ad.concat_cols(h, nb)
 
 
@@ -255,23 +264,24 @@ _PROPAGATE = {"gcn": _gcn_propagate, "sage": _sage_propagate}
 
 
 def _message_passing(params: ModelParams, h: Tensor, adj: NormalizedAdjacency,
-                     mk: dict, cached: bool) -> Tensor:
-    """GCN or SAGE: per layer, propagate, then the weights; layer 0 comes
-    from `adj`'s cache when `cached`."""
+                     gate) -> Tensor:
+    """GCN or SAGE: per layer, propagate through `gate` (an `ad.EdgeGate`,
+    or None), then the weights; an unmasked layer 0 comes from `adj`'s
+    cache."""
     propagate = _PROPAGATE[params.architecture]
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        if i == 0 and cached:
+        if i == 0 and gate is None:
             h = adj.first_layer(params.architecture)
         else:
-            h = propagate(h, adj, mk)
+            h = propagate(h, adj, gate)
         h = ad.add(ad.matmul(h, w), b)
         if i < last:
             h = ad.relu(h)
     return h
 
 
-def _appnp(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -> Tensor:
+def _appnp(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, gate) -> Tensor:
     # the first op is a matmul with the weights: nothing to precompute
     last = len(params.weights) - 1
     for i, (w, b) in enumerate(zip(params.weights, params.biases)):
@@ -280,8 +290,7 @@ def _appnp(params: ModelParams, h: Tensor, adj: NormalizedAdjacency, mk: dict) -
             h = ad.relu(h)
     z = h0 = h
     for _ in range(params.power_iters):
-        prop = ad.edge_aggregate(z, adj.src, adj.dst, adj.coef,
-                                 self_coef=adj.self_coef, **mk)
+        prop = _gcn_propagate(z, adj, gate)
         z = ad.add(ad.scale(prop, 1.0 - params.tau), ad.scale(h0, params.tau))
     return z
 
@@ -298,20 +307,21 @@ def forward(params: ModelParams, graph: Graph,
     forward and kept in its memo, so every later forward on the same Graph
     value reuses it. An unmasked GCN or SAGE forward takes its first-layer
     propagation from the adjacency's cache; a masked one propagates layer 0
-    itself. Every call counts one model forward in FORWARD_CALLS."""
+    itself. A masked forward computes its edge gate (each edge's score
+    sigmoid and active flag, an `ad.EdgeGate`) once, for all its layers.
+    Every call counts one model forward in FORWARD_CALLS."""
     global FORWARD_CALLS
     FORWARD_CALLS += 1
     adj = adjacency(graph)
-    mk = {}
+    gate = None
     if mask is not None:
         if not _same_graph(mask.host, graph):
             raise GraphError("score mask host does not match the forward's graph")
-        mk = {"scores": mask.scores, "score_idx": adj.score_idx,
-              "active": mask.active[adj.score_idx] if len(adj.score_idx) else None}
+        gate = ad.EdgeGate(mask.scores, adj.score_idx, mask.active[adj.score_idx])
     h = Tensor(graph.features)
     if params.architecture == "appnp":
-        return _appnp(params, h, adj, mk)
-    return _message_passing(params, h, adj, mk, cached=mask is None)
+        return _appnp(params, h, adj, gate)
+    return _message_passing(params, h, adj, gate)
 
 
 def predict(logits) -> np.ndarray:

@@ -282,15 +282,15 @@ def _add_at_reference(h, src, dst, coef, self_coef, scores, score_idx,
     return out, gh, gs
 
 
-@settings(max_examples=150, deadline=None)
-@given(n=st.integers(1, 6), k=st.integers(1, 4),
-       edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                      max_size=30),
-       self_loops=st.booleans(), masked=st.booleans(),
-       seed=st.integers(0, 2**32 - 1))
-@example(n=3, k=2, edges=[], self_loops=True, masked=True, seed=0)
-@example(n=3, k=2, edges=[], self_loops=False, masked=False, seed=0)
-def test_aggregate_bitwise_equals_add_at(n, k, edges, self_loops, masked, seed):
+_AGGREGATE_CASES = dict(
+    n=st.integers(1, 6), k=st.integers(1, 4),
+    edges=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=30),
+    self_loops=st.booleans(), masked=st.booleans(),
+    seed=st.integers(0, 2**32 - 1))
+
+
+def _check_aggregate_against_add_at(n, k, edges, self_loops, masked, seed,
+                                    indexed=False):
     # the bincount kernel must add each bin in np.add.at's (edge) order;
     # magnitudes spread over 16 decades make any other order visible
     rng = np.random.default_rng(seed)
@@ -309,8 +309,10 @@ def test_aggregate_bitwise_equals_add_at(n, k, edges, self_loops, masked, seed):
         active[:1] = False
     h = Tensor(hv, requires_grad=True)
     st_scores = None if scores is None else Tensor(scores.copy(), requires_grad=True)
+    kw = {"index": ad.EdgeIndex(src, dst)} if indexed else {}
     out = ad.edge_aggregate(h, src, dst, coef, self_coef=self_coef,
-                            scores=st_scores, score_idx=score_idx, active=active)
+                            scores=st_scores, score_idx=score_idx, active=active,
+                            **kw)
     backward(ad.sum_all(ad.mul(out, Tensor(g))))
     ref_out, ref_gh, ref_gs = _add_at_reference(
         hv, src, dst, coef, self_coef, scores, score_idx, active, g)
@@ -318,6 +320,75 @@ def test_aggregate_bitwise_equals_add_at(n, k, edges, self_loops, masked, seed):
     np.testing.assert_array_equal(h.grad, ref_gh)
     if masked:
         np.testing.assert_array_equal(st_scores.grad, ref_gs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(**_AGGREGATE_CASES)
+@example(n=3, k=2, edges=[], self_loops=True, masked=True, seed=0)
+@example(n=3, k=2, edges=[], self_loops=False, masked=False, seed=0)
+def test_aggregate_bitwise_equals_add_at(n, k, edges, self_loops, masked, seed):
+    _check_aggregate_against_add_at(n, k, edges, self_loops, masked, seed)
+
+
+@pytest.mark.parametrize("block", [1, 2, 3, None], ids=lambda b: f"block{b}")
+@settings(max_examples=100, deadline=None)
+@given(**_AGGREGATE_CASES)
+@example(n=3, k=2, edges=[], self_loops=True, masked=True, seed=0)
+@example(n=4, k=4, edges=[(0, 1)], self_loops=False, masked=True, seed=1)
+def test_indexed_aggregate_bitwise_equals_add_at(block, n, k, edges, self_loops,
+                                                 masked, seed):
+    # with an EdgeIndex the columns go in flat bincounts of
+    # SEGMENT_TERMS // E columns each; SEGMENT_TERMS = block * E makes that
+    # block columns wide for every edge count: width 1 (the per-column
+    # loop), blocks split 2 + 1, 2 + 2 or 3 + 1, or, at the default, one
+    # block of all k columns
+    terms = ad.SEGMENT_TERMS if block is None else block * max(len(edges), 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "SEGMENT_TERMS", terms)
+        _check_aggregate_against_add_at(n, k, edges, self_loops, masked, seed,
+                                        indexed=True)
+
+
+def test_index_keeps_bins_per_side_and_width():
+    src, dst = np.array([0, 1, 2, 2]), np.array([1, 0, 1, 0])
+    index = ad.EdgeIndex(src, dst)
+    h = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ad, "SEGMENT_TERMS", 3 * len(src))
+        for _ in range(2):
+            backward(ad.sum_all(ad.edge_aggregate(h, src, dst, np.ones(4),
+                                                  index=index)))
+    # blocks of 3 + 1 columns, each width's bins made once per side
+    assert sorted(index.dst_bins) == sorted(index.src_bins) == [1, 3]
+    np.testing.assert_array_equal(index.dst_bins[3],
+                                  [3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2])
+    np.testing.assert_array_equal(index.src_bins[1], src)
+
+
+def _two_branch_sigmoid(x):
+    # the formula _sigmoid had before it went branch-free
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_bitwise_equals_two_branch_formula():
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(np.float64).tiny
+    special = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, tiny / 2**20,
+                        -tiny / 2**20, 5e-324, -5e-324, 50.0, -50.0, 709.0,
+                        -709.0, 710.0, -745.0, -746.0, np.nan])
+    x = np.concatenate([special] + [rng.normal(size=20_000) * scale
+                                    for scale in (1e-8, 1e-2, 1.0, 30.0, 1e3)])
+    with np.errstate(over="ignore", under="ignore"):
+        got, want = ad._sigmoid(x), _two_branch_sigmoid(x)
+    nan = np.isnan(want)
+    assert (np.isnan(got) == nan).all()     # a NaN's sign bit may differ
+    np.testing.assert_array_equal(got[~nan].view(np.uint64),
+                                  want[~nan].view(np.uint64))
 
 
 def test_backward_computes_no_gradient_for_frozen_or_constant(monkeypatch):

@@ -11,12 +11,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import fairedit.autodiff as ad
 import fairedit.editing as editing
 from fairedit import models
 from fairedit.graph import (ADD, EdgeEdit, EditKind, Exhaustive, Graph,
                             GraphError, SyntheticSpec, apply_pair,
                             candidate_edits, counterfactual_twin,
                             synth_biased_graph, with_split)
+from fairedit.autodiff import Adam
+from fairedit.metrics import counterfactual_unfairness
 from fairedit.models import NormalizedAdjacency, forward, init_params, predict
 
 _NODE_FIELDS = ("features", "sensitive", "labels", "train_mask", "val_mask",
@@ -188,6 +191,29 @@ def test_candidates_count_one_forward_each(arch):
     start = models.FORWARD_CALLS
     editing.brute_force_select(params, g, batch, g.train_mask)
     assert models.FORWARD_CALLS - start == len(batch)
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_one_shot_candidate_adjacencies_make_no_bins(arch, monkeypatch):
+    # a candidate twin's adjacency serves one forward: it holds no
+    # EdgeIndex, so its aggregations keep no flat bins; a graph's own
+    # adjacency, reused by training, keeps them
+    made = []
+    missing = ad._FlatBins.__missing__
+    monkeypatch.setattr(ad._FlatBins, "__missing__",
+                        lambda bins, width: made.append(width) or missing(bins, width))
+    g = _CORNERS["near-complete"].replace()    # no memo from other tests
+    params = init_params(arch, g.d, 4, 2, seed=0)
+    batch = candidate_edits(g, Exhaustive())
+    cands = editing._EpochTwin(g, arch).prepare(batch.kinds, batch.pairs)
+    made.clear()
+    for cand in cands:
+        counterfactual_unfairness(params, cand, g.train_mask)
+        assert cand._twin._adj.index is None
+    assert made == []
+    models.train_step(params, g, Adam(0.01))
+    assert models.adjacency(g).index is not None
+    assert made != [] or arch == "appnp"    # APPNP's one column runs per column
 
 
 def test_scoring_leaves_parameter_flags_as_found():

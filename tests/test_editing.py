@@ -419,6 +419,33 @@ def test_fairedit_pick_ranks_well_against_bruteforce_oracle():
     assert hits / trials >= 0.60
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("seed", -1, "seed must be >= 0"),
+    ("seed", 1.5, "seed must be an integer, got 1.5"),
+    ("alpha", 2.5, "alpha must be an integer, got 2.5"),
+    ("K", 3.0, "K must be an integer, got 3.0"),
+    ("mask_iters", 2.5, "mask_iters must be an integer, got 2.5"),
+    ("candidate_cap", 10.0, "candidate_cap must be an integer, got 10.0"),
+])
+def test_config_refuses_negative_seed_and_fractional_counts(field, value, message):
+    cfg = EditTrainConfig(alpha=2, K=3, seed=0)
+    setattr(cfg, field, value)
+    with pytest.raises(GraphError) as info:
+        cfg.validate()
+    assert str(info.value) == message
+    # both training loops refuse it before the first epoch
+    g = random_graph(6, 0.5, 0)
+    for run in (train_fairedit, train_bruteforce):
+        p = init_params("gcn", g.d, 4, 2, seed=0)
+        with pytest.raises(GraphError, match=message.split(",")[0]):
+            run(p, g, Adam(0.01), cfg)
+
+
+def test_config_takes_numpy_integers():
+    EditTrainConfig(alpha=np.int64(2), K=np.int64(3), mask_iters=np.int32(1),
+                    seed=np.int64(4), candidate_cap=np.int64(10)).validate()
+
+
 def _acceptance6_graph(seed, n=400):
     from fairedit.graph import (SyntheticSpec, normalize_features,
                                 synth_biased_graph, with_split)
@@ -445,17 +472,45 @@ GOLDEN_TRACES = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(GOLDEN_TRACES))
-def test_fairedit_golden_trace(seed):
+def _fairedit_digests(arch, seed):
     # the acceptance-6 setup with K and alpha cut from 250/190 to 60/40
     g = _acceptance6_graph(seed)
-    p = init_params("gcn", g.d, 16, 3, seed=seed)
+    p = init_params(arch, g.d, 16, 3, seed=seed)
     cfg = EditTrainConfig(alpha=40, K=60, rho=0.0075, gamma=0.25, mask_iters=5,
                           seed=seed)
     _, g_out, trace = train_fairedit(p, g, Adam(0.01), cfg)
     assert len(trace.entries) == 40
     assert set(trace.selection_forwards.values()) == {10}
-    assert _digests(trace, g_out) == GOLDEN_TRACES[seed]
+    return _digests(trace, g_out)
+
+
+@pytest.mark.parametrize("seed", sorted(GOLDEN_TRACES))
+def test_fairedit_golden_trace(seed):
+    assert _fairedit_digests("gcn", seed) == GOLDEN_TRACES[seed]
+
+
+# the same pins for the other two architectures, recorded with one
+# np.bincount per column in every aggregation and the gate recomputed per
+# layer
+GOLDEN_TRACES_SAGE_APPNP = {
+    ("sage", 0): (
+        "cb2e5d352137cad695d84dc08e9bc19b5caa6b5557469c0af39758fdeab3d755",
+        "9d7761fb0e2d7c19ff6f56272fff81ab5a26b798c8ce293ad235ae53f9fe8241"),
+    ("sage", 1): (
+        "51aeb95e44bb0a7b2cd733654cd01f67e3686d37798762518f5173479894b36c",
+        "a27697fd722b6603290aac2e53721170a9906a74daa9bf4c286b9e6bf8bdaa96"),
+    ("appnp", 0): (
+        "7d36e730473da6626f99dd7561c08ded8d8ed179981b9a0f61ea92ce862418df",
+        "ec169c42401ed5b166d3b70dccabdb8e08e9f6dc4d2da192230bb43ccd93f641"),
+    ("appnp", 1): (
+        "090b3f93f7a81d578fd2aa8b3d7609a1e815a4e8154645d915497df0da9b5b56",
+        "f10eeb59c0bedc6aaac6fca32e19800fcc5b52f45e79fd7062a6988edc90ee2a"),
+}
+
+
+@pytest.mark.parametrize("arch, seed", sorted(GOLDEN_TRACES_SAGE_APPNP))
+def test_fairedit_golden_trace_sage_appnp(arch, seed):
+    assert _fairedit_digests(arch, seed) == GOLDEN_TRACES_SAGE_APPNP[arch, seed]
 
 
 # SHA-256 of trace.serialize() and of the final edge pairs' bytes, recorded

@@ -196,6 +196,27 @@ def test_mask_not_one_per_node_is_refused_before_emptiness(metric, shape, fill):
     assert not isinstance(info.value, MetricUndefinedError)
 
 
+_PRED = np.array([1, 0, 1, 1, 0])
+_LABEL_METRICS = {
+    "f1_score": lambda mask: f1_score(_PRED, [1, 1, 0, 1, 0], mask),
+    "delta_sp": lambda mask: delta_sp(_PRED, [1, 0, 1, 0, 1], mask),
+    "delta_eo": lambda mask: delta_eo(_PRED, [1, 1, 0, 1, 1], [1, 0, 1, 0, 1], mask),
+}
+
+
+@pytest.mark.parametrize("fill", [False, True], ids=["all-false", "all-true"])
+@pytest.mark.parametrize("shape", [(4,), (6,), (5, 1), (1, 5), ()])
+@pytest.mark.parametrize("metric", sorted(_LABEL_METRICS))
+def test_label_metric_mask_not_one_per_prediction_is_refused(metric, shape, fill):
+    # as for the graph metrics: a wrong-length mask is refused by its shape,
+    # before its emptiness, in _node_mask's wording
+    want = rf"^{metric}: mask shape \({', '.join(map(str, shape))}" \
+           rf"{',' if len(shape) == 1 else ''}\), want \(5,\)$"
+    with pytest.raises(ValueError, match=want) as info:
+        _LABEL_METRICS[metric](np.full(shape, fill))
+    assert not isinstance(info.value, MetricUndefinedError)
+
+
 def test_instability_empty_mask():
     g = random_graph(5, 0.4, 0)
     params = init_params("gcn", g.d, 4, 2, seed=0)

@@ -318,7 +318,7 @@ def _adjacency_builds():
 def _uncached_first_layer():
     """Every forward inside the block propagates layer 0 itself."""
     def propagate(adj, architecture):
-        return models._PROPAGATE[architecture](Tensor(adj.features), adj, {})
+        return models._PROPAGATE[architecture](Tensor(adj.features), adj, None)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NormalizedAdjacency, "first_layer", propagate)
         yield
