@@ -7,10 +7,9 @@ from .editing import (CandidateCapExceeded, EditTrace, EditTrainConfig,
                       train_bruteforce, train_fairedit)
 from .graph import (EdgeEdit, EditBatch, EditKind, Exhaustive, Graph,
                     GraphError, Sampled, SyntheticSpec, apply_edit,
-                    apply_edits, apply_pair, candidate_edits,
-                    counterfactual_twin, flip_sensitive, load_edge_list,
-                    load_node_table, normalize_features, perturb_features,
-                    save_edge_list, split,
+                    apply_edits, candidate_edits, counterfactual_twin,
+                    load_edge_list, load_node_table, normalize_features,
+                    perturb_features, save_edge_list, split,
                     synth_biased_graph, with_split)
 from .metrics import (FairnessReport, MetricUndefinedError,
                       counterfactual_unfairness, delta_eo, delta_sp,
@@ -28,9 +27,8 @@ __all__ = [
     "train_fairedit",
     # graph
     "EdgeEdit", "EditBatch", "EditKind", "Exhaustive", "Graph", "GraphError",
-    "Sampled", "SyntheticSpec", "apply_edit", "apply_edits", "apply_pair",
-    "candidate_edits",
-    "counterfactual_twin", "flip_sensitive", "load_edge_list",
+    "Sampled", "SyntheticSpec", "apply_edit", "apply_edits",
+    "candidate_edits", "counterfactual_twin", "load_edge_list",
     "load_node_table", "normalize_features", "perturb_features",
     "save_edge_list", "split", "synth_biased_graph", "with_split",
     # metrics

@@ -12,7 +12,7 @@ import numpy as np
 from . import autodiff as ad
 from . import models
 from .graph import (ADD, EdgeEdit, EditBatch, Exhaustive, Graph, GraphError,
-                    Sampled, apply_edit, apply_edits, apply_pair, candidate_edits,
+                    Sampled, _lookup, apply_edit, apply_edits, candidate_edits,
                     counterfactual_twin)
 from .metrics import counterfactual_unfairness
 
@@ -115,21 +115,22 @@ class _EpochTwin:
     for GCN and SAGE the twin's layer-0 propagation, and for GCN each node's
     one-hop neighbourhood (an n x n boolean matrix, with the node itself).
 
-    `prepare` turns a chunk of candidate rows into candidate graphs with
-    vectorized passes, one for the chunk's deletes and one for its adds (a
-    kind's candidates all have the same edge count): every edited pair and
-    key array, and of every twin the pairs, degrees, directed edges and
-    coefficients in the layout of `NormalizedAdjacency.__init__`, and for
-    GCN and SAGE the layer 0: the base one with some rows recomputed in
-    both halves, kept as a `RowPatch` that the candidate's forward makes
-    whole. An edit changes degrees only at u and v. A GCN edge coefficient
-    depends on both endpoints' degrees, so the rows of {u, v} and their
-    neighbours are recomputed; a SAGE row's coefficient is 1 / its own
-    degree, so only the rows of u and v are. Every other row keeps its
-    incoming edges, their order and their coefficients, and its base value
-    is exact. Each candidate graph
-    views those arrays, with its twin attached as `_twin` and the twin's
-    adjacency as `_adj`."""
+    `prepare` finds a chunk's rows in the base keys with the graph module's
+    `_lookup`, then turns them into candidate graphs with vectorized
+    passes, one for the chunk's deletes and one for its adds (a kind's
+    candidates all have the same edge count): every edited pair array (a
+    candidate's `keys` are built from it on first use, as any graph's are),
+    and of every twin the pairs, degrees, directed edges and coefficients in
+    the layout of `NormalizedAdjacency.__init__`, and for GCN and SAGE the
+    layer 0: the base one with some rows recomputed in both halves, kept as
+    a `RowPatch` that the candidate's forward makes whole. An edit changes
+    degrees only at u and v. A GCN edge coefficient depends on both
+    endpoints' degrees, so the rows of {u, v} and their neighbours are
+    recomputed; a SAGE row's coefficient is 1 / its own degree, so only the
+    rows of u and v are. Every other row keeps its incoming edges, their
+    order and their coefficients, and its base value is exact. Each
+    candidate graph views those arrays, with its twin attached as `_twin`
+    and the twin's adjacency as `_adj`."""
 
     def __init__(self, graph: Graph, architecture: str):
         self.graph, self.architecture = graph, architecture
@@ -146,32 +147,29 @@ class _EpochTwin:
 
     def prepare(self, kinds: np.ndarray, pairs: np.ndarray) -> list:
         """The candidate graphs of the batch rows `kinds`, `pairs`, in row
-        order; the first bad row is refused as `apply_pair` refuses it."""
+        order; the first bad row is refused as `apply_edits` refuses that
+        row alone."""
         g = self.graph
-        n, m = g.n, len(g.pairs)
+        n = g.n
         add = kinds == ADD
         u, v = pairs[:, 0], pairs[:, 1]
-        key = u * n + v
-        pos = np.searchsorted(g.keys, key)
-        present = np.zeros(len(key), dtype=bool)
-        hit = pos < m
-        present[hit] = g.keys[pos[hit]] == key[hit]
+        pos, present = _lookup(g.keys, u * n + v)
         bad = (u < 0) | (v >= n) | (present == add)
         if bad.any():
             i = int(np.argmax(bad))
-            apply_pair(g, bool(add[i]), int(u[i]), int(v[i]))   # raises
+            apply_edits(g, EditBatch(kinds[i:i + 1], pairs[i:i + 1]))   # raises
         out = [None] * len(kinds)
         for kind in (False, True):
             rows = np.flatnonzero(add == kind)
             if len(rows):
-                made = self._prepare(kind, pairs[rows], key[rows], pos[rows])
+                made = self._prepare(kind, pairs[rows], pos[rows])
                 for r, cand in zip(rows.tolist(), made):
                     out[r] = cand
         return out
 
-    def _prepare(self, add: bool, pairs, key, pos) -> list:
+    def _prepare(self, add: bool, pairs, pos) -> list:
         """Candidate graphs of edits of one kind (`add`) on `pairs`, whose
-        keys `key` have lookup positions `pos` in the base keys."""
+        keys have lookup positions `pos` in the base keys."""
         g, twin = self.graph, self.twin
         n, m, c = g.n, len(g.pairs), len(pairs)
         u, v = pairs[:, 0], pairs[:, 1]
@@ -184,7 +182,6 @@ class _EpochTwin:
         if add:
             take[i, pos] = m + i
         edges = np.concatenate([g.pairs, pairs]).take(take, axis=0)
-        keys = np.concatenate([g.keys, key]).take(take)
         deg = np.repeat(self.deg[None], c, axis=0)
         deg[i, u] += step
         deg[i, v] += step
@@ -199,7 +196,7 @@ class _EpochTwin:
         coef = np.concatenate([coef] * 4, axis=1)
         deg = np.concatenate([deg, deg], axis=1)
         loop = models.gcn_loop_coef(deg)
-        for a in (edges, keys, twin_pairs, src, dst, coef, deg, loop):
+        for a in (edges, twin_pairs, src, dst, coef, deg, loop):
             a.flags.writeable = False
         mean = None
         if self.architecture == "sage":
@@ -223,7 +220,6 @@ class _EpochTwin:
         out = []
         for k in range(c):
             cand = g.replace(pairs=edges[k])
-            cand._cached("_keys", lambda: keys[k])
             t = twin.replace(pairs=twin_pairs[k])
             adj = models.NormalizedAdjacency.of_arrays(
                 t.features, deg[k], src[k], dst[k], coef[k], loop[k],
@@ -238,38 +234,35 @@ class _EpochTwin:
 def brute_force_select(params, graph: Graph, candidates, eval_mask):
     """Evaluate counterfactual unfairness of every candidate edit (an
     `EditBatch`, or `EdgeEdit`s) under the current parameters, walking the
-    batch rows; return (edit, score) minimizing it. Ties break by
-    (Delete < Add, u, v).
+    batch rows; return (edit, score) minimizing it. The row is picked by
+    `select_edit` on the negated scores, so ties break by (Delete < Add, u,
+    v), and a repeated row by its first occurrence.
 
     The candidate graphs are prepared CANDIDATE_CHUNK rows at a time by
     vectorized passes (`_EpochTwin.prepare`): each comes with its twin
     attached, which shares the base twin's node arrays and whose adjacency
     and layer-0 rows (GCN, SAGE) are built for the whole chunk, bitwise
     equal to building them per candidate. A bad row is refused when its
-    chunk is prepared, with `apply_pair`'s message. Each candidate then
-    costs one `counterfactual_unfairness` call, in row order, and with it
-    one counted full-depth forward on its twin; layers >= 1 run in full.
-    The parameters are frozen while scoring, so the forwards record no
-    autodiff tape."""
+    chunk is prepared, with the message `apply_edits` gives for it. Each
+    candidate then costs one `counterfactual_unfairness` call, in row
+    order, and with it one counted full-depth forward on its twin; layers
+    >= 1 run in full. The parameters are frozen while scoring, so the
+    forwards record no autodiff tape."""
     candidates = EditBatch.of(candidates)
     if not candidates:
         raise GraphError("brute_force_select: empty candidate list")
     base = _EpochTwin(graph, params.architecture)
-    best = None
+    scores = np.empty(len(candidates))
     with _frozen(params):     # scoring runs no backward
         for lo in range(0, len(candidates), CANDIDATE_CHUNK):
-            kinds = candidates.kinds[lo:lo + CANDIDATE_CHUNK]
-            uv = candidates.pairs[lo:lo + CANDIDATE_CHUNK]
-            graphs = None    # free the previous chunk before making this one
-            graphs = base.prepare(kinds, uv)
-            rows = zip(kinds.tolist(), uv[:, 0].tolist(), uv[:, 1].tolist())
-            for i, (kind, u, v) in enumerate(rows, start=lo):
-                fc = counterfactual_unfairness(params, graphs[i - lo], eval_mask)
-                key = (fc, kind, u, v)
-                if best is None or key < best[0]:
-                    best = (key, i)
-    (score, *_), i = best
-    return candidates.edit(i), score
+            rows = slice(lo, lo + CANDIDATE_CHUNK)
+            # a comprehension holds no candidate once its chunk is scored, so
+            # a chunk is freed before the next one (or the selection) is made
+            scores[rows] = [counterfactual_unfairness(params, cand, eval_mask)
+                            for cand in base.prepare(candidates.kinds[rows],
+                                                     candidates.pairs[rows])]
+    i = select_edit(candidates, -scores)
+    return candidates.edit(i), float(scores[i])
 
 
 # ---------------------------------------------------------------------------

@@ -51,15 +51,6 @@ class EdgeEdit:
     def endpoints(self) -> tuple[int, int]:
         return (self.u, self.v)
 
-    @property
-    def sort_key(self) -> tuple[int, int, int]:
-        # Delete orders before Add; used for deterministic tie-breaking.
-        return (0 if self.kind is EditKind.DELETE else 1, self.u, self.v)
-
-    def inverse(self) -> "EdgeEdit":
-        kind = EditKind.ADD if self.kind is EditKind.DELETE else EditKind.DELETE
-        return EdgeEdit(kind, self.u, self.v)
-
 
 # kind codes of an EditBatch row, in tie-break order: Delete before Add
 DELETE, ADD = 0, 1
@@ -203,10 +194,6 @@ class Graph:
         Built on first use; the library itself works on `pairs` and `keys`."""
         return self._cached("_edges", lambda: tuple(map(tuple, self.pairs.tolist())))
 
-    @property
-    def edge_set(self) -> frozenset:
-        return self._cached("_edge_set", lambda: frozenset(self.edges))
-
     def edge_rows(self, u, v) -> np.ndarray:
         """Row of each edge (u[i], v[i]), u < v, in `pairs`; GraphError if
         one is not an edge of this graph."""
@@ -334,6 +321,8 @@ def load_node_table(path, sensitive_col: str = "sensitive",
     y_idx = header.index(label_col)
     if s_idx == y_idx:
         raise GraphError("sensitive and label columns must differ")
+    if len(lines) == 1:
+        raise GraphError(f"{path}: no node rows")
 
     rows = []
     for i, ln in enumerate(lines[1:], start=2):
@@ -468,37 +457,10 @@ def split(n: int, fractions, labels, seed: int):
 # ---------------------------------------------------------------------------
 # Edits and views
 
-def _with_edges(graph: Graph, pairs: np.ndarray, keys: np.ndarray) -> Graph:
-    g = graph.replace(pairs=_readonly(pairs))
-    object.__setattr__(g, "_keys", _readonly(keys))
-    return g
-
-
 def apply_edit(graph: Graph, edit: EdgeEdit) -> Graph:
-    """One edge added or deleted."""
-    return apply_pair(graph, edit.kind is EditKind.ADD, edit.u, edit.v)
-
-
-def apply_pair(graph: Graph, add: bool, u: int, v: int) -> Graph:
-    """Pair u < v added (`add`) or deleted: a batch row applied alone,
-    checked as `apply_edits` checks it. Its key and pair are spliced in (or
-    out) at their lookup position."""
-    n = graph.n
-    if u >= v:
-        raise GraphError(f"edit ({u}, {v}) not stored with u < v")
-    if u < 0 or v >= n:
-        raise GraphError(f"edit endpoint out of range: {(u, v)}")
-    k, p = graph.keys, graph.pairs
-    key = u * n + v
-    i = int(np.searchsorted(k, key))
-    if (i < len(k) and k[i] == key) == add:
-        what = "Add of existing" if add else "Delete of missing"
-        raise GraphError(f"{what} edge {(u, v)}")
-    if add:
-        return _with_edges(graph, np.concatenate([p[:i], [[u, v]], p[i:]]),
-                           np.concatenate([k[:i], [key], k[i:]]))
-    return _with_edges(graph, np.concatenate([p[:i], p[i + 1:]]),
-                       np.concatenate([k[:i], k[i + 1:]]))
+    """One edge added or deleted: `apply_edits` on a one-row batch, checked
+    as it checks any batch."""
+    return apply_edits(graph, (edit,))
 
 
 def apply_edits(graph: Graph, edits) -> Graph:
@@ -507,10 +469,10 @@ def apply_edits(graph: Graph, edits) -> Graph:
     applying the edits one at a time; the batch is refused (GraphError,
     `graph` untouched) if an endpoint is out of range, if two edits name the
     same pair, or if an edit adds an existing edge or deletes a missing one,
-    checked in that order, each naming the first bad edit in row order."""
+    checked in that order, each naming the first bad edit in row order.
+    The kept and added keys are sorted once, and the result keeps them as
+    its `keys`."""
     batch = EditBatch.of(edits)
-    if len(batch) == 1:
-        return apply_pair(graph, bool(batch.kinds[0] == ADD), *batch.pairs[0].tolist())
     if not batch:
         return graph
     n = graph.n
@@ -540,13 +502,9 @@ def apply_edits(graph: Graph, edits) -> Graph:
     keys = np.sort(np.concatenate([graph.keys[keep], q[add]]))
     pairs = np.empty((len(keys), 2), dtype=np.int64)
     np.divmod(keys, n, out=(pairs[:, 0], pairs[:, 1]))
-    return _with_edges(graph, pairs, keys)
-
-
-def flip_sensitive(graph: Graph) -> Graph:
-    feats = graph.features.copy()
-    feats[:, graph.sensitive_col] = 1 - feats[:, graph.sensitive_col]
-    return graph.replace(features=feats, sensitive=1 - graph.sensitive)
+    g = graph.replace(pairs=_readonly(pairs))
+    object.__setattr__(g, "_keys", _readonly(keys))
+    return g
 
 
 def perturb_features(graph: Graph, sigma: float, seed: int) -> Graph:
@@ -578,7 +536,9 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 
 def counterfactual_twin(graph: Graph) -> Graph:
-    """`disjoint_union(graph, flip_sensitive(graph))`, stacked directly. Both
+    """`graph` stacked with its counterfactual, with no edge between the
+    halves: nodes n..2n-1 repeat nodes 0..n-1 with the sensitive attribute
+    flipped, in `sensitive` and in the features' sensitive column. Both
     halves carry `graph`'s own valid pairs, so the stack is valid by
     construction and is not validated again.
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from fairedit.graph import Graph
+from fairedit.graph import (ADD, DELETE, EdgeEdit, EditBatch, EditKind, Graph,
+                            apply_edits)
 
 
 def finite_diff(f, x, step=1e-4):
@@ -34,6 +35,35 @@ def assert_grad_close(analytic, numeric, tol=1e-4):
 def batch_edits(batch):
     """Every row of an EditBatch as an EdgeEdit, in row order."""
     return [batch.edit(i) for i in range(len(batch))]
+
+
+# oracles: small reference helpers that only the tests use
+
+def apply_pair(graph, add, u, v):
+    """Pair (u, v) added (`add`) or deleted: `apply_edits` on a one-row
+    batch, refused as that batch is."""
+    return apply_edits(graph, EditBatch(
+        np.array([ADD if add else DELETE], dtype=np.int8),
+        np.array([[u, v]], dtype=np.int64)))
+
+
+def flip_sensitive(graph):
+    """`graph` with its sensitive attribute flipped, in `sensitive` and in the
+    features' sensitive column: the second half of its counterfactual twin."""
+    feats = graph.features.copy()
+    feats[:, graph.sensitive_col] = 1 - feats[:, graph.sensitive_col]
+    return graph.replace(features=feats, sensitive=1 - graph.sensitive)
+
+
+def inverse(edit):
+    """The edit that undoes `edit`."""
+    kind = EditKind.ADD if edit.kind is EditKind.DELETE else EditKind.DELETE
+    return EdgeEdit(kind, edit.u, edit.v)
+
+
+def sort_key(edit):
+    """(Delete < Add, u, v): the order in which edit selection breaks ties."""
+    return (0 if edit.kind is EditKind.DELETE else 1, edit.u, edit.v)
 
 
 @pytest.fixture

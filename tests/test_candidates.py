@@ -15,12 +15,14 @@ import fairedit.autodiff as ad
 import fairedit.editing as editing
 from fairedit import models
 from fairedit.graph import (ADD, EdgeEdit, EditKind, Exhaustive, Graph,
-                            GraphError, SyntheticSpec, apply_pair,
-                            candidate_edits, counterfactual_twin,
-                            synth_biased_graph, with_split)
+                            GraphError, SyntheticSpec, candidate_edits,
+                            counterfactual_twin, synth_biased_graph,
+                            with_split)
 from fairedit.autodiff import Adam
 from fairedit.metrics import counterfactual_unfairness
 from fairedit.models import NormalizedAdjacency, forward, init_params, predict
+
+from conftest import apply_pair
 
 _NODE_FIELDS = ("features", "sensitive", "labels", "train_mask", "val_mask",
                 "test_mask")

@@ -348,6 +348,15 @@ def _tiny_class_files(tmp_path):
     return ["--nodes", str(nodes), "--edges", str(edges)]
 
 
+def _header_only_files(tmp_path):
+    """A node table with its header and no row, beside an empty edge list."""
+    nodes = tmp_path / "nodes.csv"
+    nodes.write_text("f1,sensitive,label\n")
+    edges = tmp_path / "edges.txt"
+    edges.write_text("")
+    return ["--nodes", str(nodes), "--edges", str(edges)]
+
+
 def _not_utf8(tmp_path, which):
     """Valid inputs except that file `which` (config, nodes or edges) has a
     0xff byte, which no UTF-8 text holds, on its second line."""
@@ -371,6 +380,8 @@ _ERROR_CASES = [
      EXIT_DATA, "data error: infeasible edge density"),
     ("label class under 3 nodes", _tiny_class_files,
      EXIT_DATA, "data error: label class 1 has fewer nodes than splits"),
+    ("header-only node table", _header_only_files,
+     EXIT_DATA, "data error: "),
     ("missing node table",
      lambda tmp: ["--nodes", str(tmp / "none.csv"), "--edges", str(tmp / "none.txt")],
      EXIT_DATA, "data error: "),

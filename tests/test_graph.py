@@ -6,14 +6,14 @@ from hypothesis import strategies as st
 from fairedit.editing import generate_counterfactual_graph
 from fairedit.graph import (EdgeEdit, EditBatch, EditKind, Exhaustive, Graph,
                             GraphError, Sampled, SyntheticSpec, apply_edit,
-                            apply_edits, apply_pair, candidate_edits,
-                            disjoint_union, flip_sensitive, load_edge_list,
-                            load_node_table,
+                            apply_edits, candidate_edits, disjoint_union,
+                            load_edge_list, load_node_table,
                             normalize_features, perturb_features,
                             save_edge_list, split, synth_biased_graph,
                             with_split)
 
-from conftest import batch_edits, random_graph
+from conftest import (apply_pair, batch_edits, flip_sensitive, inverse,
+                      random_graph, sort_key)
 
 
 # ---------------------------------------------------------------------------
@@ -50,6 +50,7 @@ def test_load_node_table_all_zero_sensitive(tmp_path):
     ("a,s,label\n1,x,0\n", "non-numeric"),
     ("a,s,label\n1,2,0\n", "not binary"),
     ("a,s,label\n1,0,3\n", "not binary"),
+    ("a,s,label\n", "no node rows"),
 ])
 def test_load_node_table_errors(tmp_path, body, msg):
     p = tmp_path / "nodes.csv"
@@ -194,11 +195,11 @@ def test_apply_edit_delete(triangle_graph):
 
 
 def test_apply_edit_involution(triangle_graph):
-    e = EdgeEdit.add(0, 3) if (0, 3) not in triangle_graph.edge_set else None
+    e = EdgeEdit.add(0, 3) if (0, 3) not in set(triangle_graph.edges) else None
     g = random_graph(6, 0.4, 0)
     for edit in [EdgeEdit.add(u, v) for u in range(6) for v in range(u + 1, 6)
-                 if (u, v) not in g.edge_set][:3]:
-        g2 = apply_edit(apply_edit(g, edit), edit.inverse())
+                 if (u, v) not in set(g.edges)][:3]:
+        g2 = apply_edit(apply_edit(g, edit), inverse(edit))
         assert g2.edges == g.edges
 
 
@@ -284,7 +285,7 @@ def test_sampled_prob_one():
     dels = [e for e in cands if e.kind is EditKind.DELETE]
     # every absent cross-group pair added, every intra-group edge deleted
     expected_adds = {(u, v) for u in range(8) for v in range(u + 1, 8)
-                     if s[u] != s[v] and (u, v) not in g.edge_set}
+                     if s[u] != s[v] and (u, v) not in set(g.edges)}
     expected_dels = {(u, v) for u, v in g.edges if s[u] == s[v]}
     assert {e.endpoints for e in adds} == expected_adds
     assert {e.endpoints for e in dels} == expected_dels
@@ -388,7 +389,7 @@ def test_property_edit_inverse_identity(seed, data):
     g = random_graph(7, 0.5, seed)
     cands = candidate_edits(g, Exhaustive())
     edit = cands.edit(data.draw(st.integers(0, len(cands) - 1)))
-    g2 = apply_edit(apply_edit(g, edit), edit.inverse())
+    g2 = apply_edit(apply_edit(g, edit), inverse(edit))
     assert g2.edges == g.edges
 
 
@@ -407,7 +408,7 @@ def test_disjoint_union_structure(triangle_graph):
     u = disjoint_union(triangle_graph, triangle_graph)
     assert u.n == 6
     assert len(u.edges) == 6
-    assert (3, 4) in u.edge_set
+    assert (3, 4) in set(u.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +466,7 @@ def _ref_sampled(edges, s, n, policy):
     for (u, v), r in zip(absent, rng.random(len(absent))):
         if r < policy.rho:
             out.append(EdgeEdit.add(u, v))
-    out.sort(key=lambda e: (e.u, e.v, e.sort_key[0]))
+    out.sort(key=lambda e: (e.u, e.v, sort_key(e)[0]))
     return out
 
 
@@ -634,7 +635,7 @@ def test_differential_apply_edits(g, data):
         lambda p: p[0] != p[1])
     edits = []
     for u, v in data.draw(st.lists(pair, max_size=8)):
-        present = (min(u, v), max(u, v)) in g.edge_set
+        present = (min(u, v), max(u, v)) in set(g.edges)
         valid = data.draw(st.integers(0, 9)) > 0
         kind = EditKind.DELETE if present == valid else EditKind.ADD
         edits.append(EdgeEdit(kind, u, v))
@@ -794,6 +795,6 @@ def test_differential_counterfactual_graph(g, rho, gamma, seed):
 @settings(max_examples=50, deadline=None)
 @given(g=_graphs())
 def test_differential_exhaustive_candidates(g):
-    want = [EdgeEdit.delete(u, v) if (u, v) in g.edge_set else EdgeEdit.add(u, v)
+    want = [EdgeEdit.delete(u, v) if (u, v) in set(g.edges) else EdgeEdit.add(u, v)
             for u in range(g.n) for v in range(u + 1, g.n)]
     assert batch_edits(candidate_edits(g, Exhaustive())) == want

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fairedit.autodiff import Tensor
-from fairedit.graph import Graph, GraphError, flip_sensitive
+from fairedit.graph import Graph, GraphError
 from fairedit.metrics import (FairnessReport, MetricUndefinedError,
                               counterfactual_unfairness, delta_eo, delta_sp,
                               evaluate, f1_score, instability)
 from fairedit.models import ModelParams, init_params
 
-from conftest import random_graph
+from conftest import flip_sensitive, random_graph
 
 ALL = np.ones(4, dtype=bool)
 

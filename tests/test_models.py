@@ -11,13 +11,13 @@ import fairedit.models as models
 from fairedit.autodiff import SGD, Adam, Tensor
 from fairedit.graph import (EdgeEdit, Graph, GraphError, SyntheticSpec,
                             apply_edit, counterfactual_twin,
-                            disjoint_union, flip_sensitive, synth_biased_graph,
+                            disjoint_union, synth_biased_graph,
                             with_split)
 from fairedit.models import (SATURATING_SCORE, NormalizedAdjacency,
                              ScoreMatrix, forward, init_params, predict, train,
                              train_step)
 
-from conftest import random_graph
+from conftest import flip_sensitive, random_graph
 
 
 def _edgeless(n=3, d=4):
@@ -393,7 +393,7 @@ def test_derived_graphs_start_without_adjacency():
         "apply_edit delete": apply_edit(g, EdgeEdit.delete(u, v)),
         "apply_edit add": apply_edit(g, EdgeEdit.add(*next(
             (a, b) for a in range(g.n) for b in range(a + 1, g.n)
-            if (a, b) not in g.edge_set))),
+            if (a, b) not in set(g.edges)))),
         "counterfactual_twin": counterfactual_twin(g),
     }
     for name, h in derived.items():
