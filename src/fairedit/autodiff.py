@@ -244,15 +244,15 @@ def l1_diff(a: Tensor, b: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # Sparse aggregation
 
-# most terms one np.bincount of `_segment_sum` adds up: it takes the columns
-# in blocks of min(k, SEGMENT_TERMS // edges); no result depends on it
+# most terms one np.bincount of `_segment_sum` adds up: past it, the columns
+# go one bincount each; no result depends on it
 SEGMENT_TERMS = 1 << 15
 
 
 class _FlatBins(dict):
-    """Flat (edge, column) bins of the segment ids `idx`, per block width,
-    made on first use: edge e's term in column j of a block of width b goes
-    to bin idx_e * b + j, edge by edge."""
+    """Flat (edge, column) bins of the segment ids `idx`, per column count,
+    made on first use: edge e's term in column j of k goes to bin
+    idx_e * k + j, edge by edge."""
 
     def __init__(self, idx):
         super().__init__()
@@ -267,7 +267,7 @@ class EdgeIndex:
     """The directed edges src -> dst that many `edge_aggregate` calls share
     (an adjacency reused across forwards). It keeps the flat bins of
     `_segment_sum` per side, dst for the forward and src for the backward,
-    and per block width, each made by the first call that needs it."""
+    and per column count, each made by the first call that needs it."""
 
     def __init__(self, src, dst):
         self.dst_bins = _FlatBins(np.asarray(dst, dtype=np.int64))
@@ -287,24 +287,26 @@ class EdgeGate:
         self.act = None if active is None else np.asarray(active, dtype=np.float64)
 
 
-def _segment_sum(idx, gather, w, x: np.ndarray, rows=None, bins=None) -> np.ndarray:
-    """out[i, j] = sum of w_e * x[gather_e, j] over edges e with idx_e = i.
+def _segment_sum(idx, gather, w, x: np.ndarray, rows=None, bins=None,
+                 n=None) -> np.ndarray:
+    """out[i, j] = sum of w_e * x[gather_e, j] over edges e with idx_e = i,
+    for i < n (default x's row count).
 
-    With `bins`, a `_FlatBins` of idx, the columns go in blocks of
-    kb = min(k, SEGMENT_TERMS // E). A block is one bincount over flat
-    (edge, column) bins idx_e * kb + j laid out edge by edge, so every bin
+    With `bins`, a `_FlatBins` of idx, and k > 1 columns over E > 0 edges
+    with k * E <= SEGMENT_TERMS, it is one bincount over the flat
+    (edge, column) bins idx_e * k + j laid out edge by edge, so every bin
     adds its terms in edge order and the result is bitwise that of a
     sequential scatter-add of w_e * x[gather_e] into zeros. The rows
     x[gather] are gathered once (or taken from `rows`, which is not
-    written to) and weighted in one (E, k) array.
+    written to) and weighted in one (E, k) array. (With no terms,
+    np.bincount returns int64, hence E > 0.)
 
-    Without bins, with no edges, or when blocks would be one column wide,
-    it is one bincount per column of a transposed copy of x: contiguous
-    gathers and no (E, k) temporary, which costs less for one call, or for
-    many edges."""
-    n, k = x.shape
-    kb = 1 if bins is None or not len(idx) else min(k, SEGMENT_TERMS // len(idx))
-    if kb <= 1:
+    Otherwise it is one bincount per column of a transposed copy of x:
+    contiguous gathers and no (E, k) temporary, which costs less for one
+    call, or for many edges."""
+    n = x.shape[0] if n is None else n
+    k = x.shape[1]
+    if bins is None or not len(idx) or k < 2 or k * len(idx) > SEGMENT_TERMS:
         xt = np.ascontiguousarray(x.T)
         out = np.empty((n, k))
         for j in range(k):
@@ -315,13 +317,8 @@ def _segment_sum(idx, gather, w, x: np.ndarray, rows=None, bins=None) -> np.ndar
         terms *= w[:, None]
     else:
         terms = w[:, None] * rows
-    blocks = []
-    for j in range(0, k, kb):
-        part = terms[:, j:j + kb]
-        b = part.shape[1]
-        blocks.append(np.bincount(bins[b], weights=part.ravel(),
-                                  minlength=n * b).reshape(n, b))
-    return blocks[0] if len(blocks) == 1 else np.hstack(blocks)
+    return np.bincount(bins[k], weights=terms.ravel(),
+                       minlength=n * k).reshape(n, k)
 
 
 def edge_aggregate(h: Tensor, src, dst, coef, self_coef=None,

@@ -278,10 +278,10 @@ _GRAPH_FIELDS = tuple(f.name for f in dataclasses.fields(Graph))
 # Ingestion
 
 def text_lines(path):
-    """The lines of a UTF-8 text file without their line ends, read as they
-    are iterated; GraphError, naming the first bad byte, if the file is not
-    valid UTF-8."""
-    with open(path, encoding="utf-8") as fh:
+    """The lines of a UTF-8 text file without their line ends or a leading
+    byte order mark, read as they are iterated; GraphError, naming the first
+    bad byte, if the file is not valid UTF-8."""
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             for ln in fh:
                 yield ln.rstrip("\n")
@@ -421,15 +421,17 @@ def split(n: int, fractions, labels, seed: int):
     if abs(sum(fractions) - 1.0) > 1e-9:
         raise GraphError("fractions must sum to 1")
     labels = np.asarray(labels)
-    labeled = np.arange(n)
+    if labels.shape != (n,):
+        raise GraphError(f"need one label per node: {n} nodes, labels of "
+                         f"shape {labels.shape}")
     rng = np.random.default_rng(seed)
 
-    targets = _largest_remainder(fractions, len(labeled))
+    targets = _largest_remainder(fractions, n)
 
     masks = [np.zeros(n, dtype=bool) for _ in range(3)]
     per_class = []
-    for c in np.unique(labels[labeled]):
-        idx = labeled[labels[labeled] == c]
+    for c in np.unique(labels):
+        idx = np.flatnonzero(labels == c)
         if len(idx) < 3:
             raise GraphError(f"label class {c} has fewer nodes than splits")
         idx = rng.permutation(idx)

@@ -148,18 +148,14 @@ def first_layers_patched(architecture: str, x: np.ndarray, base: np.ndarray,
     (src) and `w` (coefficient: GCN `coef`, SAGE `mean_coef`), each copy's
     edges in its adjacency's edge order; `self_coef` (c, N) is GCN's.
 
-    One bincount over (marked row, column) bins: the bin of edge e and
-    column j takes w_e * x[gather_e, j], and the terms are laid out edge by
-    edge, so each bin adds its edges in edge order, as the per-column
-    bincount of `edge_aggregate` does. A recomputed row is then bitwise the
-    full propagation's."""
+    The marked rows' sums are one `ad._segment_sum` over the marked rows
+    alone, with bins made for this call. It adds each row's edges in edge
+    order, as the full propagation does, so a recomputed row is bitwise
+    the full propagation's."""
     c, n = rows.shape
-    d = x.shape[1]
     at = np.flatnonzero(rows)      # the marked rows, flat: k * n + node
-    terms = w[:, None] * x.take(gather, axis=0)
-    bins = np.searchsorted(at, seg)[:, None] * d + np.arange(d)
-    nb = np.bincount(bins.ravel(), weights=terms.ravel(),
-                     minlength=len(at) * d).reshape(-1, d)
+    idx = np.searchsorted(at, seg)
+    nb = ad._segment_sum(idx, gather, w, x, bins=ad._FlatBins(idx), n=len(at))
     node = at % n
     if architecture == "gcn":
         nb = nb + self_coef.ravel()[at, None] * x[node]

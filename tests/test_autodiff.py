@@ -337,11 +337,11 @@ def test_aggregate_bitwise_equals_add_at(n, k, edges, self_loops, masked, seed):
 @example(n=4, k=4, edges=[(0, 1)], self_loops=False, masked=True, seed=1)
 def test_indexed_aggregate_bitwise_equals_add_at(block, n, k, edges, self_loops,
                                                  masked, seed):
-    # with an EdgeIndex the columns go in flat bincounts of
-    # SEGMENT_TERMS // E columns each; SEGMENT_TERMS = block * E makes that
-    # block columns wide for every edge count: width 1 (the per-column
-    # loop), blocks split 2 + 1, 2 + 2 or 3 + 1, or, at the default, one
-    # block of all k columns
+    # with an EdgeIndex, k > 1 columns over E edges go in one flat bincount
+    # when k * E <= SEGMENT_TERMS, else one bincount per column;
+    # SEGMENT_TERMS = block * E makes that flat when k <= block and per
+    # column otherwise, for every edge count (block 1: always per column;
+    # the default: always flat)
     terms = ad.SEGMENT_TERMS if block is None else block * max(len(edges), 1)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ad, "SEGMENT_TERMS", terms)
@@ -351,18 +351,35 @@ def test_indexed_aggregate_bitwise_equals_add_at(block, n, k, edges, self_loops,
 
 def test_index_keeps_bins_per_side_and_width():
     src, dst = np.array([0, 1, 2, 2]), np.array([1, 0, 1, 0])
+    coef = np.array([1.0, 2.0, 0.5, 3.0])
     index = ad.EdgeIndex(src, dst)
-    h = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+    upstream = Tensor(np.arange(12.0, 0.0, -1.0).reshape(3, 4))
+
+    def run(**kw):
+        h = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
+        out = ad.edge_aggregate(h, src, dst, coef, **kw)
+        backward(ad.sum_all(ad.mul(out, upstream)))
+        return out.values, h.grad
+
+    want = run()
+    for _ in range(2):
+        got = run(index=index)
+    # one flat bincount of all 4 columns per side, its bins made once
+    assert list(index.dst_bins) == list(index.src_bins) == [4]
+    np.testing.assert_array_equal(index.dst_bins[4],
+                                  [4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3])
+    np.testing.assert_array_equal(index.src_bins[4],
+                                  [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 8, 9, 10, 11])
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
+    # past SEGMENT_TERMS every column is one bincount: no bins are made
+    index = ad.EdgeIndex(src, dst)
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(ad, "SEGMENT_TERMS", 3 * len(src))
-        for _ in range(2):
-            backward(ad.sum_all(ad.edge_aggregate(h, src, dst, np.ones(4),
-                                                  index=index)))
-    # blocks of 3 + 1 columns, each width's bins made once per side
-    assert sorted(index.dst_bins) == sorted(index.src_bins) == [1, 3]
-    np.testing.assert_array_equal(index.dst_bins[3],
-                                  [3, 4, 5, 0, 1, 2, 3, 4, 5, 0, 1, 2])
-    np.testing.assert_array_equal(index.src_bins[1], src)
+        mp.setattr(ad, "SEGMENT_TERMS", 4 * len(src) - 1)
+        got = run(index=index)
+    assert not index.dst_bins and not index.src_bins
+    for a, b in zip(got, want):
+        np.testing.assert_array_equal(a, b)
 
 
 def _two_branch_sigmoid(x):
@@ -431,3 +448,24 @@ def test_autodiff_imports_no_package_module():
             assert node.level == 0 and not node.module.startswith("fairedit")
         elif isinstance(node, ast.Import):
             assert not any(a.name.startswith("fairedit") for a in node.names)
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # the package is NumPy-only: every module imports the standard library,
+    # numpy and the package's own modules, nothing else
+    import ast
+    import sys
+    from pathlib import Path
+    allowed = set(sys.stdlib_module_names) | {"numpy", "fairedit"}
+    modules = sorted(Path(ad.__file__).parent.glob("*.py"))
+    assert len(modules) > 1
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = [] if node.level else [node.module]
+            elif isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in allowed, (path.name, name)

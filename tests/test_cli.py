@@ -470,6 +470,26 @@ def test_main_input_not_utf8(tmp_path, capsys, which, code, prefix):
                      f"byte {at})"], err
 
 
+@pytest.mark.parametrize("which", ["config", "nodes", "edges"])
+def test_main_input_bom(tmp_path, which):
+    # a UTF-8 byte order mark (as spreadsheet exports and Notepad write) at
+    # the start of any input file is read past: same report as without it
+    rng = np.random.default_rng(0)
+    files = {"config": tmp_path / "run.cfg", "nodes": tmp_path / "nodes.csv",
+             "edges": tmp_path / "edges.txt"}
+    files["config"].write_text("k = 2\n")
+    # the BOM lands on the first header cell and the first edge
+    files["nodes"].write_text("sensitive,f1,label\n" + "".join(
+        f"{i % 2},{rng.normal():.4f},{(i // 2) % 2}\n" for i in range(60)))
+    files["edges"].write_text("".join(f"{i} {(i + 1) % 60}\n" for i in range(60)))
+    args = [a for name, path in files.items() for a in ("--" + name, str(path))]
+    want, got = tmp_path / "want.csv", tmp_path / "got.csv"
+    assert main([*_TRAIN, *args, "--out", str(want)]) == EXIT_OK
+    files[which].write_bytes(b"\xef\xbb\xbf" + files[which].read_bytes())
+    assert main([*_TRAIN, *args, "--out", str(got)]) == EXIT_OK
+    assert got.read_bytes() == want.read_bytes()
+
+
 def test_module_entry_point_error_contract(tmp_path):
     # `python -m fairedit.cli` exits with main's code and its one stderr line
     import fairedit

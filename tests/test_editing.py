@@ -171,9 +171,8 @@ def test_scores_inconsistent_edits():
 
 
 def test_scores_check_any_batch_but_the_sampled_one():
-    # the replay check is skipped only for the very graph and batch that
-    # generate_counterfactual_graph made; an equal copy is checked, and a
-    # batch missing a row is refused
+    # every batch is replayed to check it, the sampled one too: an equal
+    # copy scores the same, and a batch missing a row is refused
     g = random_graph(8, 0.4, 3)
     params = init_params("gcn", g.d, 4, 2, seed=0)
     gstar, edits = generate_counterfactual_graph(g, 0.5, 0.5, seed=1)

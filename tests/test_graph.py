@@ -178,6 +178,14 @@ def test_split_tiny_class():
         split(12, (0.5, 0.25, 0.25), labels, seed=0)
 
 
+@pytest.mark.parametrize("labels", [np.zeros(9, dtype=int), np.zeros(4, dtype=int),
+                                    np.zeros((6, 1), dtype=int)],
+                         ids=["9 labels", "4 labels", "6x1 labels"])
+def test_split_needs_one_label_per_node(labels):
+    with pytest.raises(GraphError, match="one label per node"):
+        split(6, (0.5, 0.25, 0.25), labels, seed=0)
+
+
 def test_split_stratified():
     labels = np.array([0] * 80 + [1] * 20)
     tr, va, te = split(100, (0.5, 0.25, 0.25), labels, seed=3)
