@@ -112,38 +112,37 @@ class _EpochTwin:
     """What the candidates of one brute-force epoch share, built once from
     the base graph with no model forward: the base graph's counterfactual
     twin, whose node arrays every candidate's twin reuses, the base degrees,
-    for GCN and SAGE the twin's layer-0 propagation, and for GCN each node's
-    one-hop neighbourhood (an n x n boolean matrix, with the node itself).
+    and for GCN and SAGE the twin's layer-0 propagation and `near`, an
+    n x n boolean matrix of the rows an edit at a node makes stale: the
+    node itself, and for GCN its neighbours.
 
     `prepare` finds a chunk's rows in the base keys with the graph module's
     `_lookup`, then turns them into candidate graphs with vectorized
     passes, one for the chunk's deletes and one for its adds (a kind's
     candidates all have the same edge count): every edited pair array (a
     candidate's `keys` are built from it on first use, as any graph's are),
-    and of every twin the pairs, degrees, directed edges and coefficients in
-    the layout of `NormalizedAdjacency.__init__`, and for GCN and SAGE the
-    layer 0: the base one with some rows recomputed in both halves, kept as
-    a `RowPatch` that the candidate's forward makes whole. An edit changes
-    degrees only at u and v. A GCN edge coefficient depends on both
-    endpoints' degrees, so the rows of {u, v} and their neighbours are
-    recomputed; a SAGE row's coefficient is 1 / its own degree, so only the
-    rows of u and v are. Every other row keeps its incoming edges, their
-    order and their coefficients, and its base value is exact. Each
-    candidate graph views those arrays, with its twin attached as `_twin`
-    and the twin's adjacency as `_adj`."""
+    of every twin the pairs, degrees, and `models.directed_edges` with their
+    coefficients, and for GCN and SAGE the pass's layer 0 as one stacked
+    array (`models.first_layers_patched`), the base one with the rows
+    `near` u or v recomputed in both halves. An edit changes degrees only
+    at u and v. A GCN edge coefficient depends on both endpoints' degrees,
+    so the neighbours' rows change too; a SAGE row's coefficient is 1 / its
+    own degree, so only the rows of u and v do. Every other row keeps its
+    incoming edges, their order and their coefficients, and its base value
+    is exact. Each candidate graph views those arrays, with its twin
+    attached as `_twin` and the twin's adjacency as `_adj`."""
 
     def __init__(self, graph: Graph, architecture: str):
         self.graph, self.architecture = graph, architecture
         self.twin = counterfactual_twin(graph)
         n, p = graph.n, graph.pairs
         self.deg = graph.degrees()
-        self.near = None
-        if architecture == "gcn":
-            self.near = np.eye(n, dtype=bool)
-            self.near[p[:, 0], p[:, 1]] = self.near[p[:, 1], p[:, 0]] = True
         self.layer0 = None
         if architecture != "appnp":   # APPNP starts with a matmul: no layer 0
             self.layer0 = models.adjacency(self.twin).first_layer(architecture).values
+            self.near = np.eye(n, dtype=bool)
+            if architecture == "gcn":
+                self.near[p[:, 0], p[:, 1]] = self.near[p[:, 1], p[:, 0]] = True
 
     def prepare(self, kinds: np.ndarray, pairs: np.ndarray) -> list:
         """The candidate graphs of the batch rows `kinds`, `pairs`, in row
@@ -185,32 +184,26 @@ class _EpochTwin:
         deg = np.repeat(self.deg[None], c, axis=0)
         deg[i, u] += step
         deg[i, v] += step
-        ends = deg.ravel()[edges + n * i[:, None, None]]
-        coef = models.gcn_edge_coef(ends[:, :, 0], ends[:, :, 1])
         # the twin: [E; E + n], both halves with the candidate's degrees;
-        # its directed edges run src = [E0, E0 + n, E1, E1 + n], dst = [E1,
-        # E1 + n, E0, E0 + n], and each takes the coefficient of its E row
+        # node x of candidate k's twin is flat node off[k] + x
         twin_pairs = np.concatenate([edges, edges + n], axis=1)
-        src = twin_pairs.transpose(0, 2, 1).reshape(c, -1)
-        dst = twin_pairs[:, :, ::-1].transpose(0, 2, 1).reshape(c, -1)
-        coef = np.concatenate([coef] * 4, axis=1)
         deg = np.concatenate([deg, deg], axis=1)
+        off = 2 * n * i[:, None]
+        ends = deg.ravel()[twin_pairs + off[:, :, None]]
+        src, dst, coef = models.directed_edges(
+            twin_pairs, models.gcn_edge_coef(ends[..., 0], ends[..., 1]))
         loop = models.gcn_loop_coef(deg)
         for a in (edges, twin_pairs, src, dst, coef, deg, loop):
             a.flags.writeable = False
         mean = None
         if self.architecture == "sage":
-            mean = models.sage_mean_coef(deg.ravel()[dst + 2 * n * i[:, None]])
+            mean = models.sage_mean_coef(deg.ravel()[dst + off])
             mean.flags.writeable = False
         layer0 = None
         if self.layer0 is not None:
-            if self.near is None:   # SAGE
-                near = np.zeros((c, n), dtype=bool)
-                near[i, u] = near[i, v] = True
-            else:
-                near = self.near[u] | self.near[v]
+            near = self.near[u] | self.near[v]
             rows = np.concatenate([near, near], axis=1)
-            seg = (dst + 2 * n * i[:, None]).ravel()
+            seg = (dst + off).ravel()
             sel = np.flatnonzero(rows.ravel()[seg])
             w = coef if mean is None else mean
             layer0 = models.first_layers_patched(
@@ -224,7 +217,7 @@ class _EpochTwin:
             adj = models.NormalizedAdjacency.of_arrays(
                 t.features, deg[k], src[k], dst[k], coef[k], loop[k],
                 None if mean is None else mean[k],
-                None if layer0 is None else {self.architecture: layer0[k]})
+                None if layer0 is None else {self.architecture: ad.Tensor(layer0[k])})
             t._cached("_adj", lambda: adj)
             cand._cached("_twin", lambda: t)
             out.append(cand)
@@ -241,8 +234,8 @@ def brute_force_select(params, graph: Graph, candidates, eval_mask):
     The candidate graphs are prepared CANDIDATE_CHUNK rows at a time by
     vectorized passes (`_EpochTwin.prepare`): each comes with its twin
     attached, which shares the base twin's node arrays and whose adjacency
-    and layer-0 rows (GCN, SAGE) are built for the whole chunk, bitwise
-    equal to building them per candidate. A bad row is refused when its
+    and layer 0 (GCN, SAGE) are built for the whole chunk, bitwise equal to
+    building them per candidate. A bad row is refused when its
     chunk is prepared, with the message `apply_edits` gives for it. Each
     candidate then costs one `counterfactual_unfairness` call, in row
     order, and with it one counted full-depth forward on its twin; layers

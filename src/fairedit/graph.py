@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import numbers
 from dataclasses import dataclass
 from enum import Enum
 
@@ -32,6 +33,9 @@ class EdgeEdit:
     v: int
 
     def __post_init__(self):
+        if not all(isinstance(x, numbers.Integral) for x in (self.u, self.v)):
+            raise GraphError(f"edit endpoints must be integer node ids, got "
+                             f"({self.u!r}, {self.v!r})")
         if self.u == self.v:
             raise GraphError(f"self-loop edit on node {self.u}")
         if self.u > self.v:
@@ -107,6 +111,18 @@ def _lookup(keys: np.ndarray, query: np.ndarray):
     return pos, found
 
 
+def _int64(values, message: str) -> np.ndarray:
+    """`values` as an int64 array; GraphError(`message`) if they are not
+    integers. A cast would truncate 0.7 to 0: only integral values pass."""
+    try:
+        a = np.asarray(values)
+        if a.dtype.kind == "f" and not (np.isfinite(a) & (a == np.trunc(a))).all():
+            raise ValueError("non-integral value")
+        return a.astype(np.int64, copy=False)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise GraphError(message) from exc
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -134,8 +150,8 @@ class Graph:
         """Validated graph from any iterable of node pairs (or an (m, 2)
         integer array) in either orientation and any order."""
         features = np.asarray(features, dtype=np.float64)
-        sensitive = np.asarray(sensitive, dtype=np.int64)
-        labels = np.asarray(labels, dtype=np.int64)
+        sensitive = _int64(sensitive, "sensitive attribute must be binary")
+        labels = _int64(labels, "labels must be binary")
 
         def _mask(m):
             if m is None:
@@ -145,14 +161,7 @@ class Graph:
 
         if not isinstance(edges, np.ndarray):
             edges = list(edges)
-        try:
-            e = np.asarray(edges)
-            # a cast would truncate 0.7 to node 0: only integral values pass
-            if e.dtype.kind == "f" and not (np.isfinite(e) & (e == np.trunc(e))).all():
-                raise ValueError("non-integral node id")
-            e = e.astype(np.int64, copy=False)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise GraphError("edges must be pairs of integer node ids") from exc
+        e = _int64(edges, "edges must be pairs of integer node ids")
         if e.size == 0:
             e = e.reshape(0, 2)
         if e.ndim != 2 or e.shape[1] != 2:

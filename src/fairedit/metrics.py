@@ -14,26 +14,23 @@ class MetricUndefinedError(ValueError):
     """A group-conditional probability has an empty conditioning set."""
 
 
-def _masked(arr, mask):
-    return np.asarray(arr)[mask]
-
-
-def _checked_mask(metric: str, mask, n: int) -> np.ndarray:
-    """`mask` as a boolean array; refused (ValueError) unless it has shape
-    (n,)."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (n,):
-        raise ValueError(f"{metric}: mask shape {mask.shape}, want ({n},)")
-    return mask
+def _checked(metric: str, name: str, arr, n: int, dtype=None) -> np.ndarray:
+    """`arr` (named `name`) as an array, of `dtype` if given; refused
+    (ValueError) unless it has shape (n,)."""
+    arr = np.asarray(arr, dtype=dtype)
+    if arr.shape != (n,):
+        raise ValueError(f"{metric}: {name} shape {arr.shape}, want ({n},)")
+    return arr
 
 
 def f1_score(pred, truth, mask) -> float:
     """TP / (TP + (FP + FN) / 2); 0 when there are no positives anywhere."""
-    mask = _checked_mask("f1_score", mask, len(pred))
+    mask = _checked("f1_score", "mask", mask, len(pred), bool)
+    truth = _checked("f1_score", "truth", truth, len(pred))
     if not mask.any():
         raise MetricUndefinedError("f1_score: empty mask")
-    p = _masked(pred, mask)
-    t = _masked(truth, mask)
+    p = np.asarray(pred)[mask]
+    t = truth[mask]
     tp = float(np.sum((p == 1) & (t == 1)))
     fp = float(np.sum((p == 1) & (t == 0)))
     fn = float(np.sum((p == 0) & (t == 1)))
@@ -45,9 +42,9 @@ def f1_score(pred, truth, mask) -> float:
 
 def delta_sp(pred, sensitive, mask) -> float:
     """|Pr(pred=1 | s=1) - Pr(pred=1 | s=0)| over masked nodes."""
-    mask = _checked_mask("delta_sp", mask, len(pred))
-    p = _masked(pred, mask)
-    s = _masked(sensitive, mask)
+    mask = _checked("delta_sp", "mask", mask, len(pred), bool)
+    s = _checked("delta_sp", "sensitive", sensitive, len(pred))[mask]
+    p = np.asarray(pred)[mask]
     g1, g0 = p[s == 1], p[s == 0]
     if len(g1) == 0 or len(g0) == 0:
         raise MetricUndefinedError("delta_sp: a sensitive group is empty in the mask")
@@ -56,10 +53,10 @@ def delta_sp(pred, sensitive, mask) -> float:
 
 def delta_eo(pred, truth, sensitive, mask) -> float:
     """|Pr(pred=1 | y=1, s=1) - Pr(pred=1 | y=1, s=0)| over masked nodes."""
-    mask = _checked_mask("delta_eo", mask, len(pred))
-    p = _masked(pred, mask)
-    t = _masked(truth, mask)
-    s = _masked(sensitive, mask)
+    mask = _checked("delta_eo", "mask", mask, len(pred), bool)
+    t = _checked("delta_eo", "truth", truth, len(pred))[mask]
+    s = _checked("delta_eo", "sensitive", sensitive, len(pred))[mask]
+    p = np.asarray(pred)[mask]
     g1 = p[(s == 1) & (t == 1)]
     g0 = p[(s == 0) & (t == 1)]
     if len(g1) == 0 or len(g0) == 0:
@@ -72,7 +69,7 @@ def _node_mask(metric: str, graph: Graph, mask):
     """(`mask` as a boolean array, its count of True); refused (ValueError)
     unless it has one entry per node of `graph`, then (MetricUndefinedError)
     if it is empty."""
-    mask = _checked_mask(metric, mask, graph.n)
+    mask = _checked(metric, "mask", mask, graph.n, bool)
     count = np.count_nonzero(mask)
     if not count:
         raise MetricUndefinedError(f"{metric}: empty mask")

@@ -46,18 +46,27 @@ def sage_mean_coef(deg_dst):
     return 1.0 / np.maximum(deg_dst, 1).astype(np.float64)
 
 
+def directed_edges(pairs, coef):
+    """`src`, `dst` and `coef` of the undirected edges `pairs` (..., m, 2)
+    with coefficients `coef` (..., m), each edge in both directions:
+    src = [u, v], dst = [v, u], and the coefficient twice."""
+    u, v = pairs[..., 0], pairs[..., 1]
+    return (np.concatenate([u, v], axis=-1), np.concatenate([v, u], axis=-1),
+            np.concatenate([coef, coef], axis=-1))
+
+
 class NormalizedAdjacency:
     """Per-edge coefficients of the self-loop-augmented, symmetrically
-    normalized adjacency D^-1/2 (A + I) D^-1/2 of a graph, stored as directed
-    arrays (each undirected edge appears in both directions). The edge-score
-    index and the neighbor-mean coefficients are built on first use, since
-    only masked and SAGE forwards read them.
+    normalized adjacency D^-1/2 (A + I) D^-1/2 of a graph, stored as
+    `directed_edges` arrays (each undirected edge in both directions). The
+    edge-score index and the neighbor-mean coefficients are built on first
+    use, since only masked and SAGE forwards read them.
 
     The unmasked first-layer propagation of the graph's features uses no
     model parameters, so it is also computed on first use and then shared.
     `of_arrays` makes an adjacency from arrays built elsewhere with the
-    coefficient functions above, optionally with its layer 0 given as a
-    `RowPatch` of a nearby graph's (see `first_layers_patched`).
+    functions above, optionally with its layer 0 given, e.g. one copy of
+    `first_layers_patched`.
     `forward` keeps one adjacency per Graph, in the graph's memo; the
     adjacency keeps the graph's features, not the graph, so the memo makes
     no reference cycle and a dropped graph is freed at once.
@@ -72,21 +81,19 @@ class NormalizedAdjacency:
 
     def __init__(self, graph: Graph):
         deg = graph.degrees()
-        u, v = graph.pairs[:, 0], graph.pairs[:, 1]
-        c = gcn_edge_coef(deg[u], deg[v])
-        self._fill(graph.features, deg, np.concatenate([u, v]),
-                   np.concatenate([v, u]), np.concatenate([c, c]),
-                   gcn_loop_coef(deg), {})
+        ends = deg[graph.pairs]
+        src, dst, coef = directed_edges(
+            graph.pairs, gcn_edge_coef(ends[:, 0], ends[:, 1]))
+        self._fill(graph.features, deg, src, dst, coef, gcn_loop_coef(deg), {})
         self.index = ad.EdgeIndex(self.src, self.dst)
 
     @classmethod
     def of_arrays(cls, features, deg, src, dst, coef, self_coef,
                   mean_coef=None, layer0=None) -> "NormalizedAdjacency":
         """The adjacency of a graph with node `features` and degrees `deg`,
-        from its directed `src`, `dst` and `coef` in the order of
-        `__init__`, its `self_coef` and, if known, its `mean_coef`;
-        `layer0`, if given, maps an architecture to a `RowPatch` that makes
-        its first layer."""
+        from its `directed_edges` `src`, `dst` and `coef`, its `self_coef`
+        and, if known, its `mean_coef`; `layer0`, if given, maps an
+        architecture to its read-only first layer (a `Tensor`)."""
         adj = cls.__new__(cls)
         adj._fill(features, deg, src, dst, coef, self_coef, dict(layer0 or {}))
         if mean_coef is not None:
@@ -109,11 +116,9 @@ class NormalizedAdjacency:
 
     def first_layer(self, architecture: str) -> Tensor:
         """Layer 0 of an unmasked GCN or SAGE model on the graph's features,
-        before its weights, read-only; computed on first use, then shared.
-        One given as a `RowPatch` is made anew from it on each use."""
+        before its weights, read-only; computed on first use (unless
+        `of_arrays` was given it), then shared."""
         out = self._first_layer.get(architecture)
-        if isinstance(out, RowPatch):
-            return out.layer()
         if out is None:
             out = _PROPAGATE[architecture](Tensor(self.features), self, None)
             out.values.flags.writeable = False   # no forward may write into it
@@ -121,32 +126,18 @@ class NormalizedAdjacency:
         return out
 
 
-class RowPatch:
-    """A layer 0 held as `base` with the rows `rows` replaced by `values` in
-    their last columns. It keeps only those rows, so many of them cost little
-    memory until a forward makes one whole (`layer`)."""
-
-    def __init__(self, base: np.ndarray, rows: np.ndarray, values: np.ndarray):
-        self.base, self.rows, self.values = base, rows, values
-
-    def layer(self) -> Tensor:
-        out = self.base.copy()
-        out[self.rows, out.shape[1] - self.values.shape[1]:] = self.values
-        out.flags.writeable = False
-        return Tensor(out)
-
-
 def first_layers_patched(architecture: str, x: np.ndarray, base: np.ndarray,
                          rows: np.ndarray, seg, gather, w,
-                         self_coef=None) -> list:
-    """Layer 0 of c adjacencies on the node features `x` (N, d), as c
-    `RowPatch`es: copy k is `base`, the layer 0 of another adjacency on `x`,
-    with the rows marked in `rows` (c, N) recomputed. Every unmarked row of
-    copy k must have the same incoming edges in its adjacency as in base's,
-    in the same order and with the same coefficients. The edges into the
-    marked rows are listed by `seg` (their flat row k * N + dst), `gather`
-    (src) and `w` (coefficient: GCN `coef`, SAGE `mean_coef`), each copy's
-    edges in its adjacency's edge order; `self_coef` (c, N) is GCN's.
+                         self_coef=None) -> np.ndarray:
+    """Layer 0 of c adjacencies on the node features `x` (N, d), as one
+    read-only (c, N, ·) array: copy k is `base`, the layer 0 of another
+    adjacency on `x`, with the rows marked in `rows` (c, N) recomputed.
+    Every unmarked row of copy k must have the same incoming edges in its
+    adjacency as in base's, in the same order and with the same
+    coefficients. The edges into the marked rows are listed by `seg` (their
+    flat row k * N + dst), `gather` (src) and `w` (coefficient: GCN `coef`,
+    SAGE `mean_coef`), each copy's edges in its adjacency's edge order;
+    `self_coef` (c, N) is GCN's.
 
     The marked rows' sums are one `ad._segment_sum` over the marked rows
     alone, with bins made for this call. It adds each row's edges in edge
@@ -156,15 +147,14 @@ def first_layers_patched(architecture: str, x: np.ndarray, base: np.ndarray,
     at = np.flatnonzero(rows)      # the marked rows, flat: k * n + node
     idx = np.searchsorted(at, seg)
     nb = ad._segment_sum(idx, gather, w, x, bins=ad._FlatBins(idx), n=len(at))
-    node = at % n
     if architecture == "gcn":
-        nb = nb + self_coef.ravel()[at, None] * x[node]
-    nb.flags.writeable = False
-    # a SAGE layer 0 is the features, then the neighbour means: a patch
-    # fills the last d columns
-    bounds = np.searchsorted(at, np.arange(c + 1) * n).tolist()
-    return [RowPatch(base, node[lo:hi], nb[lo:hi])
-            for lo, hi in zip(bounds, bounds[1:])]
+        nb = nb + self_coef.ravel()[at, None] * x[at % n]
+    out = np.repeat(base[None], c, axis=0)
+    # a SAGE layer 0 is the features, then the neighbour means: its marked
+    # rows change in the last d columns only
+    out.reshape(c * n, -1)[at, out.shape[2] - nb.shape[1]:] = nb
+    out.flags.writeable = False
+    return out
 
 
 SATURATING_SCORE = 50.0

@@ -266,12 +266,14 @@ def test_unsorted_and_repeated_rows_score_as_the_oracle(monkeypatch):
         assert (edit, score) == want
 
 
-def test_one_selection_at_n200_peaks_under_2mb():
+@pytest.mark.parametrize("arch", ["gcn", "sage"])
+def test_one_selection_at_n200_peaks_under_2mb(arch):
     # the acceptance-5 graph and model: candidates are made a chunk at a time,
-    # so the peak does not grow with the n(n-1)/2 rows
+    # so the peak does not grow with the n(n-1)/2 rows; a chunk's stacked
+    # layer 0 is widest for SAGE (features, then neighbour means)
     g = with_split(synth_biased_graph(SyntheticSpec(
         n=200, homophily=0.7, edge_density=2, label_bias=0.5, seed=0)), seed=0)
-    params = init_params("gcn", g.d, 4, 2, seed=0)
+    params = init_params(arch, g.d, 4, 2, seed=0)
     batch = candidate_edits(g, Exhaustive())
     tracemalloc.start()
     try:

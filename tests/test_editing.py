@@ -527,6 +527,14 @@ GOLDEN_BRUTEFORCE_TRACES = {
     ("sage", 1): (
         "51b605cb2bac2883b4dc2229ea7ba7d7331670ae4eb6df5722c41130e4e4bde8",
         "031bba620ee6ec5a5f2a738be7fa25e43cf4a35c5cc75f10ea532e65fedec979"),
+    # recorded with each candidate's twin edges laid out by transposes of
+    # its pairs and a four-fold tile of its edge coefficients
+    ("appnp", 0): (
+        "fadc699f18d2d740cf8f3f01d399cfc93c47943122518f7eaf41f2ba1cb2b773",
+        "83c68ec54c01b864fe64a49c115c288a70ee5b00049fb304fe00f351a25292db"),
+    ("appnp", 1): (
+        "6e6994c0be97c155d50a67a87cd636183ecef424edb51911c4195238715fd83a",
+        "461c8d4fd28c736c636d5a40a0288e7aa276f706a087f293cb33850b4ea02fde"),
 }
 
 

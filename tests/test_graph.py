@@ -564,6 +564,25 @@ def test_build_accepts_integral_ids(edges):
     assert _build(3, edges, [0, 1, 0]).edges == ((0, 1), (1, 2))
 
 
+@pytest.mark.parametrize("field, values, msg", [
+    ("sensitive", [0.7, 1, 0], "sensitive attribute must be binary"),
+    ("sensitive", [0, 1, float("nan")], "sensitive attribute must be binary"),
+    ("labels", [0, 1.9, 0], "labels must be binary"),
+    ("labels", np.array([0.0, 1.0, -0.5]), "labels must be binary"),
+])
+def test_build_rejects_non_integral_labels_and_sensitive(field, values, msg):
+    # a cast to int64 would truncate 0.7 to 0 and 1.9 to 1, both binary
+    given = {"sensitive": [0, 1, 0], "labels": [1, 0, 1], field: values}
+    with pytest.raises(GraphError, match=f"^{msg}$"):
+        Graph.build(np.ones((3, 1)), [(0, 1)], given["sensitive"],
+                    given["labels"], 0)
+
+
+def test_build_accepts_integral_float_labels_and_sensitive():
+    g = Graph.build(np.ones((3, 1)), [(0, 1)], [0.0, 1.0, 0.0], [True, False, True], 0)
+    assert g.sensitive.tolist() == [0, 1, 0] and g.labels.tolist() == [1, 0, 1]
+
+
 @pytest.mark.parametrize("features", [
     np.float64(1.0),
     np.ones(3),
@@ -734,6 +753,16 @@ def test_apply_edits_names_first_bad_edit(triangle_graph, edits, msg):
     with pytest.raises(GraphError) as exc:
         apply_edits(g, edits)
     assert str(exc.value) == msg
+
+
+@pytest.mark.parametrize("make", [EdgeEdit.add, EdgeEdit.delete])
+@pytest.mark.parametrize("u, v", [(0.5, 2), (0, 2.0), (np.float64(1.5), 2), ("0", 2)])
+def test_edit_rejects_non_integral_endpoint(triangle_graph, make, u, v):
+    # EditBatch.of would truncate 0.5 to node 0 and edit (0, 2) instead
+    want = f"edit endpoints must be integer node ids, got ({u!r}, {v!r})"
+    with pytest.raises(GraphError) as exc:
+        apply_edits(triangle_graph, [make(u, v)])
+    assert str(exc.value) == want
 
 
 @pytest.mark.parametrize("kinds,pairs,msg", [

@@ -217,6 +217,26 @@ def test_label_metric_mask_not_one_per_prediction_is_refused(metric, shape, fill
     assert not isinstance(info.value, MetricUndefinedError)
 
 
+_LABEL_ARRAYS = {
+    ("f1_score", "truth"): lambda a: f1_score(_PRED, a, np.ones(5, bool)),
+    ("delta_sp", "sensitive"): lambda a: delta_sp(_PRED, a, np.ones(5, bool)),
+    ("delta_eo", "truth"): lambda a: delta_eo(_PRED, a, [1, 0, 1, 0, 1],
+                                              np.ones(5, bool)),
+    ("delta_eo", "sensitive"): lambda a: delta_eo(_PRED, [1, 1, 0, 1, 1], a,
+                                                  np.ones(5, bool)),
+}
+
+
+@pytest.mark.parametrize("length", [4, 6])
+@pytest.mark.parametrize("metric, name", sorted(_LABEL_ARRAYS))
+def test_label_metric_array_not_one_per_prediction_is_refused(metric, name, length):
+    # a short truth or sensitive array would end in a bare IndexError
+    want = rf"^{metric}: {name} shape \({length},\), want \(5,\)$"
+    with pytest.raises(ValueError, match=want) as info:
+        _LABEL_ARRAYS[metric, name]([1, 0] * 3 if length == 6 else [1, 0, 1, 0])
+    assert not isinstance(info.value, MetricUndefinedError)
+
+
 def test_instability_empty_mask():
     g = random_graph(5, 0.4, 0)
     params = init_params("gcn", g.d, 4, 2, seed=0)
