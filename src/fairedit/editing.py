@@ -3,7 +3,6 @@ fairness, and gradient-based selection through a sigmoid edge-score mask."""
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 
@@ -12,8 +11,8 @@ import numpy as np
 from . import autodiff as ad
 from . import models
 from .graph import (ADD, EdgeEdit, EditBatch, Exhaustive, Graph, GraphError,
-                    Sampled, _lookup, apply_edit, apply_edits, candidate_edits,
-                    counterfactual_twin)
+                    Sampled, _at_least, _lookup, apply_edit, apply_edits,
+                    candidate_edits, counterfactual_twin)
 from .metrics import counterfactual_unfairness
 
 
@@ -37,26 +36,18 @@ class EditTrainConfig:
     candidate_cap: int = 500        # max node count for exhaustive enumeration
 
     def validate(self) -> None:
-        for name in ("alpha", "K", "mask_iters", "candidate_cap", "seed"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise GraphError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise GraphError("seed must be >= 0")
-        if self.alpha < 0 or self.K < 0 or self.alpha > self.K:
+        _at_least(0, self, "alpha", "K", "candidate_cap", "seed")
+        _at_least(1, self, "mask_iters")
+        if self.alpha > self.K:
             raise GraphError("need 0 <= alpha <= K")
         if not (0.0 <= self.rho <= 1.0 and 0.0 <= self.gamma <= 1.0):
             raise GraphError("rho and gamma must lie in [0, 1]")
         if not (0.0 < self.binarize_threshold < 1.0):
             raise GraphError("binarize_threshold must lie in (0, 1)")
-        if self.mask_iters < 1:
-            raise GraphError("mask_iters must be >= 1")
         if not (math.isfinite(self.mask_lr) and self.mask_lr > 0):
             raise GraphError("mask_lr must be positive and finite")
         if self.eval_nodes not in ("train", "val"):
             raise GraphError("eval_nodes must be 'train' or 'val'")
-        if self.candidate_cap < 0:
-            raise GraphError("candidate_cap must be >= 0")
 
 
 @dataclass
@@ -103,8 +94,8 @@ def _frozen(params):
 # ---------------------------------------------------------------------------
 # Brute-force selection
 
-# candidate rows prepared by one vectorized pass of brute_force_select: the
-# pass's arrays are O(CANDIDATE_CHUNK * (m + n)); no result depends on it
+# rows of one kind prepared by one vectorized pass of brute_force_select:
+# the pass's arrays are O(CANDIDATE_CHUNK * (m + n)); no result depends on it
 CANDIDATE_CHUNK = 8
 
 
@@ -116,18 +107,18 @@ class _EpochTwin:
     n x n boolean matrix of the rows an edit at a node makes stale: the
     node itself, and for GCN its neighbours.
 
-    `prepare` finds a chunk's rows in the base keys with the graph module's
-    `_lookup`, then turns them into candidate graphs with vectorized
-    passes, one for the chunk's deletes and one for its adds (a kind's
-    candidates all have the same edge count): every edited pair array (a
+    `prepare` turns edits of one kind, which `brute_force_select` has
+    checked before any forward, into candidate graphs with one vectorized
+    pass (a kind's candidates all have the same edge count): it finds the
+    rows' positions in the base keys, then builds every edited pair array (a
     candidate's `keys` are built from it on first use, as any graph's are),
     of every twin the pairs, degrees, and `models.directed_edges` with their
     coefficients, and for GCN and SAGE the pass's layer 0 as one stacked
-    array (`models.first_layers_patched`), the base one with the rows
-    `near` u or v recomputed in both halves. An edit changes degrees only
-    at u and v. A GCN edge coefficient depends on both endpoints' degrees,
-    so the neighbours' rows change too; a SAGE row's coefficient is 1 / its
-    own degree, so only the rows of u and v do. Every other row keeps its
+    array (`models.first_layers_patched`), the base one with the rows `near`
+    u or v recomputed in both halves. An edit changes degrees only at u and
+    v. A GCN edge coefficient depends on both endpoints' degrees, so the
+    neighbours' rows change too; a SAGE row's coefficient is 1 / its own
+    degree, so only the rows of u and v do. Every other row keeps its
     incoming edges, their order and their coefficients, and its base value
     is exact. Each candidate graph views those arrays, with its twin
     attached as `_twin` and the twin's adjacency as `_adj`."""
@@ -144,34 +135,13 @@ class _EpochTwin:
             if architecture == "gcn":
                 self.near[p[:, 0], p[:, 1]] = self.near[p[:, 1], p[:, 0]] = True
 
-    def prepare(self, kinds: np.ndarray, pairs: np.ndarray) -> list:
-        """The candidate graphs of the batch rows `kinds`, `pairs`, in row
-        order; the first bad row is refused as `apply_edits` refuses that
-        row alone."""
-        g = self.graph
-        n = g.n
-        add = kinds == ADD
-        u, v = pairs[:, 0], pairs[:, 1]
-        pos, present = _lookup(g.keys, u * n + v)
-        bad = (u < 0) | (v >= n) | (present == add)
-        if bad.any():
-            i = int(np.argmax(bad))
-            apply_edits(g, EditBatch(kinds[i:i + 1], pairs[i:i + 1]))   # raises
-        out = [None] * len(kinds)
-        for kind in (False, True):
-            rows = np.flatnonzero(add == kind)
-            if len(rows):
-                made = self._prepare(kind, pairs[rows], pos[rows])
-                for r, cand in zip(rows.tolist(), made):
-                    out[r] = cand
-        return out
-
-    def _prepare(self, add: bool, pairs, pos) -> list:
-        """Candidate graphs of edits of one kind (`add`) on `pairs`, whose
-        keys have lookup positions `pos` in the base keys."""
+    def prepare(self, add: bool, pairs) -> list:
+        """Candidate graphs of edits of one kind (`add`) on `pairs`, in row
+        order; every row must apply to the base graph."""
         g, twin = self.graph, self.twin
         n, m, c = g.n, len(g.pairs), len(pairs)
         u, v = pairs[:, 0], pairs[:, 1]
+        pos = np.searchsorted(g.keys, u * n + v)
         step = 1 if add else -1
         # edge r of candidate i: the base edge r before its edit position,
         # its own pair at it (an add), the base edges shifted after it
@@ -226,36 +196,52 @@ class _EpochTwin:
 
 def brute_force_select(params, graph: Graph, candidates, eval_mask):
     """Evaluate counterfactual unfairness of every candidate edit (an
-    `EditBatch`, or `EdgeEdit`s) under the current parameters, walking the
-    batch rows; return (edit, score) minimizing it. The row is picked by
-    `select_edit` on the negated scores, so ties break by (Delete < Add, u,
-    v), and a repeated row by its first occurrence.
+    `EditBatch`, or `EdgeEdit`s) under the current parameters; return
+    (edit, score) minimizing it. The row is picked by `select_edit` on the
+    negated scores, so ties break by (Delete < Add, u, v), and a repeated
+    row by its first occurrence.
 
-    The candidate graphs are prepared CANDIDATE_CHUNK rows at a time by
-    vectorized passes (`_EpochTwin.prepare`): each comes with its twin
-    attached, which shares the base twin's node arrays and whose adjacency
-    and layer 0 (GCN, SAGE) are built for the whole chunk, bitwise equal to
-    building them per candidate. A bad row is refused when its
-    chunk is prepared, with the message `apply_edits` gives for it. Each
-    candidate then costs one `counterfactual_unfairness` call, in row
-    order, and with it one counted full-depth forward on its twin; layers
-    >= 1 run in full. The parameters are frozen while scoring, so the
-    forwards record no autodiff tape."""
+    The whole batch is checked first: its first bad row is refused before
+    any forward, with the message `apply_edits` gives for it. Then the
+    deletes are scored, then the adds, each kind in row order and
+    CANDIDATE_CHUNK rows of one kind per vectorized pass
+    (`_EpochTwin.prepare`). Each candidate comes with its twin attached,
+    which shares the base twin's node arrays and whose adjacency and layer
+    0 (GCN, SAGE) are built for the whole chunk, bitwise equal to building
+    them per candidate. It costs one `counterfactual_unfairness` call and
+    with it one counted full-depth forward on its twin; layers >= 1 run in
+    full. The parameters are frozen while scoring, so the forwards record
+    no autodiff tape."""
     candidates = EditBatch.of(candidates)
     if not candidates:
         raise GraphError("brute_force_select: empty candidate list")
-    base = _EpochTwin(graph, params.architecture)
-    scores = np.empty(len(candidates))
-    with _frozen(params):     # scoring runs no backward
-        for lo in range(0, len(candidates), CANDIDATE_CHUNK):
-            rows = slice(lo, lo + CANDIDATE_CHUNK)
-            # a comprehension holds no candidate once its chunk is scored, so
-            # a chunk is freed before the next one (or the selection) is made
-            scores[rows] = [counterfactual_unfairness(params, cand, eval_mask)
-                            for cand in base.prepare(candidates.kinds[rows],
-                                                     candidates.pairs[rows])]
+    scores = _scores(params, graph, candidates, eval_mask)
     i = select_edit(candidates, -scores)
     return candidates.edit(i), float(scores[i])
+
+
+def _scores(params, graph: Graph, batch: EditBatch, eval_mask) -> np.ndarray:
+    """The scores of `brute_force_select`, one per row of `batch`; a
+    function of its own, so that its batch-wide row indices are freed
+    before `select_edit` runs."""
+    n, (u, v) = graph.n, batch.pairs.T
+    add = batch.kinds == ADD
+    bad = (u < 0) | (v >= n) | (_lookup(graph.keys, u * n + v)[1] == add)
+    if bad.any():
+        i = int(np.argmax(bad))
+        apply_edits(graph, EditBatch(batch.kinds[i:i + 1], batch.pairs[i:i + 1]))  # raises
+    base = _EpochTwin(graph, params.architecture)
+    scores = np.empty(len(batch))
+    with _frozen(params):     # scoring runs no backward
+        for is_add in (False, True):
+            rows = np.flatnonzero(add == is_add)
+            for lo in range(0, len(rows), CANDIDATE_CHUNK):
+                chunk = rows[lo:lo + CANDIDATE_CHUNK]
+                # a comprehension holds no candidate once its chunk is scored,
+                # so a chunk is freed before the next one is made
+                scores[chunk] = [counterfactual_unfairness(params, cand, eval_mask)
+                                 for cand in base.prepare(is_add, batch.pairs[chunk])]
+    return scores
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ class EdgeEdit:
     v: int
 
     def __post_init__(self):
+        if not isinstance(self.kind, EditKind):
+            raise GraphError(f"edit kind must be an EditKind, got {self.kind!r}")
         if not all(isinstance(x, numbers.Integral) for x in (self.u, self.v)):
             raise GraphError(f"edit endpoints must be integer node ids, got "
                              f"({self.u!r}, {self.v!r})")
@@ -123,6 +125,17 @@ def _int64(values, message: str) -> np.ndarray:
         raise GraphError(message) from exc
 
 
+def _at_least(low: int, owner, *names: str) -> None:
+    """GraphError unless each attribute `names` of `owner` is an integer
+    >= low; a cast would truncate 0.5 to 0."""
+    for name in names:
+        value = getattr(owner, name)
+        if not isinstance(value, numbers.Integral):
+            raise GraphError(f"{name} must be an integer, got {value!r}")
+        if value < low:
+            raise GraphError(f"{name} must be >= {low}")
+
+
 def _readonly(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -169,7 +182,7 @@ class Graph:
         lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
         order = np.lexsort((hi, lo))
         pairs = _readonly(np.stack([lo[order], hi[order]], axis=1))
-        g = Graph(features, pairs, sensitive, labels, int(sensitive_col),
+        g = Graph(features, pairs, sensitive, labels, sensitive_col,
                   _mask(train_mask), _mask(val_mask), _mask(test_mask))
         g.validate()
         return g
@@ -241,7 +254,8 @@ class Graph:
             raise GraphError("sensitive attribute must be binary")
         if not ((self.labels == 0) | (self.labels == 1)).all():
             raise GraphError("labels must be binary")
-        if not (0 <= self.sensitive_col < self.d):
+        _at_least(0, self, "sensitive_col")
+        if self.sensitive_col >= self.d:
             raise GraphError("sensitive_col out of range")
         self._validate_pairs()
         for name in ("train_mask", "val_mask", "test_mask"):
@@ -593,6 +607,7 @@ class Sampled:
     def __post_init__(self):
         if not (0.0 <= self.rho <= 1.0 and 0.0 <= self.gamma <= 1.0):
             raise GraphError("rho and gamma must lie in [0, 1]")
+        _at_least(0, self, "seed")
 
 
 # uniform draws per rng.random call of the cross-pair sampler: bounds its
@@ -696,18 +711,14 @@ class SyntheticSpec:
     n_features: int = 8   # noisy continuous features appended after the sensitive column
 
     def validate(self):
+        _at_least(4, self, "n")
+        _at_least(0, self, "seed", "n_features")
         for name in ("homophily", "groups", "label_bias"):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise GraphError(f"{name} must lie in [0, 1]")
         if not (math.isfinite(self.edge_density) and self.edge_density > 0):
             raise GraphError("edge_density must be positive and finite")
-        if self.n < 4:
-            raise GraphError("need at least 4 nodes")
-        if self.seed < 0:
-            raise GraphError("seed must be >= 0")
-        if self.n_features < 0:
-            raise GraphError("n_features must be >= 0")
 
 
 # mean shift of the noisy synthetic features between the two label classes,

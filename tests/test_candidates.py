@@ -1,9 +1,10 @@
 """Brute-force candidates against the path they replaced: each candidate's
 counterfactual twin stacked from scratch and run through a full forward.
-`brute_force_select` now prepares the candidate graphs a chunk of rows at a
-time, each with a twin that shares the epoch's node arrays, whose adjacency
-is built for the whole chunk and whose layer 0 has only the edit's rows
-recomputed; every array, logit and selection must stay bitwise the same."""
+`brute_force_select` now prepares the candidate graphs a chunk of rows of one
+edit kind at a time, each with a twin that shares the epoch's node arrays,
+whose adjacency is built for the whole chunk and whose layer 0 has only the
+edit's rows recomputed; every array, logit and selection must stay bitwise the
+same."""
 import tracemalloc
 
 import numpy as np
@@ -144,8 +145,10 @@ def test_every_candidate_equals_full_twin_forward(g, arch, depth, seed, chunk):
 
     batch = candidate_edits(g, Exhaustive())
     assert len(seen) == len(batch)
-    for (edited, twin, logits), kind, (u, v) in zip(seen, batch.kinds.tolist(),
-                                                    batch.pairs.tolist()):
+    # scoring order: the deletes, then the adds, each kind in row order
+    order = np.argsort(batch.kinds, kind="stable")
+    for (edited, twin, logits), kind, (u, v) in zip(seen, batch.kinds[order].tolist(),
+                                                    batch.pairs[order].tolist()):
         what = f"{arch} depth {depth}, {'add' if kind == ADD else 'delete'} ({u}, {v})"
         # the twin the metric ran on is the one attached to the candidate
         assert twin is edited.__dict__["_twin"], what
@@ -207,7 +210,10 @@ def test_one_shot_candidate_adjacencies_make_no_bins(arch, monkeypatch):
     g = _CORNERS["near-complete"].replace()    # no memo from other tests
     params = init_params(arch, g.d, 4, 2, seed=0)
     batch = candidate_edits(g, Exhaustive())
-    cands = editing._EpochTwin(g, arch).prepare(batch.kinds, batch.pairs)
+    base = editing._EpochTwin(g, arch)
+    cands = [cand for add in (False, True)
+             for cand in base.prepare(add, batch.pairs[(batch.kinds == ADD) == add])]
+    assert len(cands) == len(batch)
     made.clear()
     for cand in cands:
         counterfactual_unfairness(params, cand, g.train_mask)
@@ -225,7 +231,7 @@ def test_scoring_leaves_parameter_flags_as_found():
     want = [t.requires_grad for t in params.parameters()]
     editing.brute_force_select(params, g, candidate_edits(g, Exhaustive()), g.train_mask)
     assert [t.requires_grad for t in params.parameters()] == want
-    # a refused candidate (an add of an existing edge) ends the scoring early
+    # a bad candidate (an add of an existing edge) is refused before any scoring
     with pytest.raises(GraphError, match="Add of existing"):
         editing.brute_force_select(params, g, [EdgeEdit.add(0, 1)], g.train_mask)
     assert [t.requires_grad for t in params.parameters()] == want
@@ -240,14 +246,17 @@ def test_bad_row_in_a_later_chunk_is_refused_as_apply_pair_refuses_it(bad, monke
     params = init_params("gcn", g.d, 4, 2, seed=0)
     params.weights[1].requires_grad = False
     flags = [t.requires_grad for t in params.parameters()]
-    # rows 0-3 fill two chunks; the bad row opens the third, beside a good one
+    # rows 0-3 are good and of both kinds, two chunks' worth; the bad row follows
     rows = [EdgeEdit.add(1, 2), EdgeEdit.delete(0, 3), EdgeEdit.add(2, 3),
             EdgeEdit.delete(0, 1), bad, EdgeEdit.add(3, 4)]
     with pytest.raises(GraphError) as want:
         apply_pair(g, bad.kind is EditKind.ADD, bad.u, bad.v)
+    start = models.FORWARD_CALLS
     with pytest.raises(GraphError) as got:
         editing.brute_force_select(params, g, rows, g.train_mask)
     assert str(got.value) == str(want.value)
+    # the whole batch is checked before any candidate is scored
+    assert models.FORWARD_CALLS == start
     assert [t.requires_grad for t in params.parameters()] == flags
 
 

@@ -765,6 +765,41 @@ def test_edit_rejects_non_integral_endpoint(triangle_graph, make, u, v):
     assert str(exc.value) == want
 
 
+@pytest.mark.parametrize("kind", ["add", "delete", 1, True, None])
+def test_edit_rejects_kind_that_is_not_an_edit_kind(triangle_graph, kind):
+    # EditBatch.of would read every kind but EditKind.ADD as a delete, so an
+    # "add" of the edge (0, 1) would delete it
+    with pytest.raises(GraphError) as exc:
+        apply_edits(triangle_graph, [EdgeEdit(kind, 0, 1)])
+    assert str(exc.value) == f"edit kind must be an EditKind, got {kind!r}"
+
+
+_SPEC = dict(n=40, homophily=0.7, edge_density=3, label_bias=0.5)
+
+
+@pytest.mark.parametrize("make, msg", [
+    (lambda: Graph.build(np.ones((3, 2)), [], [0, 1, 0], [1, 0, 1], 0.9),
+     "sensitive_col must be an integer, got 0.9"),
+    (lambda: Graph.build(np.ones((3, 2)), [], [0, 1, 0], [1, 0, 1], "1"),
+     "sensitive_col must be an integer, got '1'"),
+    (lambda: Sampled(0.1, 0.1, seed=-1), "seed must be >= 0"),
+    (lambda: Sampled(0.1, 0.1, seed=0.5), "seed must be an integer, got 0.5"),
+    (lambda: synth_biased_graph(SyntheticSpec(**{**_SPEC, "n": 4.5})),
+     "n must be an integer, got 4.5"),
+    (lambda: synth_biased_graph(SyntheticSpec(**_SPEC, seed=1.0)),
+     "seed must be an integer, got 1.0"),
+    (lambda: synth_biased_graph(SyntheticSpec(**_SPEC, n_features=2.5)),
+     "n_features must be an integer, got 2.5"),
+], ids=["sensitive_col 0.9", "sensitive_col '1'", "Sampled seed -1",
+        "Sampled seed 0.5", "spec n 4.5", "spec seed 1.0", "spec n_features 2.5"])
+def test_integer_fields_are_refused_not_truncated(make, msg):
+    # int() would make 0.9 column 0 and '1' column 1; the seeds and counts
+    # would reach NumPy, which raises a bare ValueError or TypeError
+    with pytest.raises(GraphError) as exc:
+        make()
+    assert str(exc.value) == msg
+
+
 @pytest.mark.parametrize("kinds,pairs,msg", [
     (np.array([0], dtype=np.int64), np.array([[0, 1]]), "int8 kinds"),
     (np.array([0, 1], dtype=np.int8), np.array([[0, 1]]), "int8 kinds"),
