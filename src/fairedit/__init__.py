@@ -9,8 +9,7 @@ from .graph import (EdgeEdit, EditBatch, EditKind, Exhaustive, Graph,
                     GraphError, Sampled, SyntheticSpec, apply_edit,
                     apply_edits, candidate_edits, counterfactual_twin,
                     load_edge_list, load_node_table, normalize_features,
-                    perturb_features, save_edge_list, split,
-                    synth_biased_graph, with_split)
+                    perturb_features, split, synth_biased_graph, with_split)
 from .metrics import (FairnessReport, MetricUndefinedError,
                       counterfactual_unfairness, delta_eo, delta_sp,
                       evaluate, f1_score, instability)
@@ -30,7 +29,7 @@ __all__ = [
     "Sampled", "SyntheticSpec", "apply_edit", "apply_edits",
     "candidate_edits", "counterfactual_twin", "load_edge_list",
     "load_node_table", "normalize_features", "perturb_features",
-    "save_edge_list", "split", "synth_biased_graph", "with_split",
+    "split", "synth_biased_graph", "with_split",
     # metrics
     "FairnessReport", "MetricUndefinedError", "counterfactual_unfairness",
     "delta_eo", "delta_sp", "evaluate", "f1_score", "instability",

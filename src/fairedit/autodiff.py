@@ -182,12 +182,13 @@ def sum_all(a: Tensor) -> Tensor:
 
 
 def relu(a: Tensor) -> Tensor:
-    # subgradient at 0 taken as 0
-    mask = a.values > 0
+    # subgradient at 0 taken as 0; fmax maps NaN to 0.0, and + 0.0 turns
+    # -0.0 into +0.0, as np.where(x > 0, x, 0.0) would
+    values = a.values
 
     def back(g):
-        return (g * mask,)
-    return _op(np.where(mask, a.values, 0.0), (a,), back)
+        return (g * (values > 0),)
+    return _op(np.fmax(values, 0.0) + 0.0, (a,), back)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

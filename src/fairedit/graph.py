@@ -216,16 +216,6 @@ class Graph:
         Built on first use; the library itself works on `pairs` and `keys`."""
         return self._cached("_edges", lambda: tuple(map(tuple, self.pairs.tolist())))
 
-    def edge_rows(self, u, v) -> np.ndarray:
-        """Row of each edge (u[i], v[i]), u < v, in `pairs`; GraphError if
-        one is not an edge of this graph."""
-        q = np.asarray(u, dtype=np.int64) * self.n + np.asarray(v, dtype=np.int64)
-        pos, found = _lookup(self.keys, q)
-        if not found.all():
-            i = int(np.flatnonzero(~found)[0])
-            raise GraphError(f"({q[i] // self.n}, {q[i] % self.n}) is not an edge")
-        return pos
-
     def degrees(self) -> np.ndarray:
         return np.bincount(self.pairs.ravel(), minlength=self.n).astype(
             np.int64, copy=False)
@@ -394,12 +384,6 @@ def load_edge_list(path, n: int) -> tuple:
             raise GraphError(f"{path}:{i}: node id out of range")
         edges.add((min(u, v), max(u, v)))
     return tuple(sorted(edges))
-
-
-def save_edge_list(path, edges) -> None:
-    with open(path, "w") as fh:
-        for u, v in sorted(edges):
-            fh.write(f"{u} {v}\n")
 
 
 # ---------------------------------------------------------------------------

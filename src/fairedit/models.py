@@ -162,29 +162,32 @@ DEFAULT_INIT_SCORE = math.log(0.95 / 0.05)   # sigmoid ~= 0.95
 
 
 class ScoreMatrix:
-    """One learnable score per edge of a host graph. The masked adjacency
-    multiplies each edge coefficient by sigmoid(score); `active` carries the
-    binarized presence state used during score refinement."""
+    """One learnable score per edge of a host graph, each starting at the
+    finite `init_score`. The masked adjacency multiplies each edge
+    coefficient by sigmoid(score); `active` carries the binarized presence
+    state used during score refinement."""
 
     def __init__(self, graph: Graph, init_score: float = DEFAULT_INIT_SCORE):
+        init_score = float(init_score)
+        if not math.isfinite(init_score):
+            raise GraphError(f"ScoreMatrix: init_score must be finite, "
+                             f"got {init_score!r}")
         self.host = graph
         m = len(graph.pairs)
-        self.scores = Tensor(np.full((m, 1), float(init_score)),
-                             requires_grad=True)
+        self.scores = Tensor(np.full((m, 1), init_score), requires_grad=True)
         self.active = np.ones(m, dtype=bool)
-
-    def rebinarize(self, threshold: float) -> None:
-        self.active = ad._sigmoid(self.scores.values[:, 0]) > threshold
 
     def ascend(self, lr: float, threshold: float) -> np.ndarray:
         """One refinement step: move the scores by lr times their gradient
-        (zero if no gradient reached them), clear the gradient and
-        rebinarize. Returns the gradient used."""
+        (zero if no gradient reached them, as in an APPNP model with no
+        propagation step), clear the gradient and binarize again: an edge
+        stays active while sigmoid(score) > threshold. Returns the gradient
+        used."""
         grad = self.scores.grad if self.scores.grad is not None \
             else np.zeros_like(self.scores.values)
         self.scores.values += lr * grad
         self.scores.zero_grad()
-        self.rebinarize(threshold)
+        self.active = ad._sigmoid(self.scores.values[:, 0]) > threshold
         return grad
 
 

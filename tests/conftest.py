@@ -47,6 +47,13 @@ def apply_pair(graph, add, u, v):
         np.array([[u, v]], dtype=np.int64)))
 
 
+def save_edge_list(path, edges):
+    """Write edges as the "u v" lines `load_edge_list` reads, sorted."""
+    with open(path, "w") as fh:
+        for u, v in sorted(edges):
+            fh.write(f"{u} {v}\n")
+
+
 def flip_sensitive(graph):
     """`graph` with its sensitive attribute flipped, in `sensitive` and in the
     features' sensitive column: the second half of its counterfactual twin."""

@@ -408,6 +408,24 @@ def test_sigmoid_bitwise_equals_two_branch_formula():
                                   want[~nan].view(np.uint64))
 
 
+def test_relu_bitwise_equals_masked_where():
+    # forward np.where(x > 0, x, 0.0) and backward g * (x > 0), bit for bit:
+    # NaN and -0.0 map to +0.0, and a masked-out gradient keeps g's sign
+    rng = np.random.default_rng(0)
+    sub = 5e-324
+    special = np.array([np.nan, 0.0, -0.0, np.inf, -np.inf, sub, -sub,
+                        1e308, -1e308])
+    x = rng.normal(size=(400, 16))
+    x[rng.random(x.shape) < 0.1] = -0.0
+    x.ravel()[:len(special)] = special
+    g = rng.normal(size=x.shape)
+    out = ad.relu(Tensor(x, requires_grad=True))
+    np.testing.assert_array_equal(out.values.view(np.uint64),
+                                  np.where(x > 0, x, 0.0).view(np.uint64))
+    np.testing.assert_array_equal(out._backward_fn(g)[0].view(np.uint64),
+                                  (g * (x > 0)).view(np.uint64))
+
+
 def test_backward_computes_no_gradient_for_frozen_or_constant(monkeypatch):
     # a frozen weight and constant features are leaves nobody needs a
     # gradient for: their ops return None in those slots and .grad stays None
@@ -469,3 +487,20 @@ def test_package_imports_only_stdlib_and_numpy():
                 continue
             for name in names:
                 assert name.split(".")[0] in allowed, (path.name, name)
+
+
+def test_public_surface_lists_each_import_once():
+    # __all__ names every public name that __init__ imports, each once, and
+    # each resolves: a name moved out of the library leaves no stale export
+    import ast
+    from pathlib import Path
+
+    import fairedit
+    tree = ast.parse(Path(fairedit.__file__).read_text())
+    imported = {a.asname or a.name for node in tree.body
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                for a in node.names}
+    names = fairedit.__all__
+    assert len(names) == len(set(names))
+    assert set(names) == {n for n in imported if not n.startswith("_")}
+    assert all(hasattr(fairedit, n) for n in names)

@@ -147,8 +147,9 @@ def test_generate_counterfactual_deterministic():
 def test_scores_empty_edits():
     g = random_graph(6, 0.4, 0)
     params = init_params("gcn", g.d, 4, 2, seed=0)
-    scores, nf = edge_sensitivity_scores(params, g, g, [])
-    assert scores.shape == (0,) and nf == 0
+    start = models.FORWARD_CALLS
+    scores = edge_sensitivity_scores(params, g, g, [])
+    assert scores.shape == (0,) and models.FORWARD_CALLS == start
 
 
 def test_scores_zero_model():
@@ -158,7 +159,7 @@ def test_scores_zero_model():
         w.values[:] = 0.0
     gstar, edits = generate_counterfactual_graph(g, 0.5, 0.5, seed=0)
     assert len(edits)
-    scores, _ = edge_sensitivity_scores(params, g, gstar, edits)
+    scores = edge_sensitivity_scores(params, g, gstar, edits)
     assert scores.shape == (len(edits),) and (scores == 0.0).all()
 
 
@@ -177,9 +178,9 @@ def test_scores_check_any_batch_but_the_sampled_one():
     params = init_params("gcn", g.d, 4, 2, seed=0)
     gstar, edits = generate_counterfactual_graph(g, 0.5, 0.5, seed=1)
     assert len(edits) >= 2
-    want, _ = edge_sensitivity_scores(params, g, gstar, edits)
+    want = edge_sensitivity_scores(params, g, gstar, edits)
     copy = EditBatch(edits.kinds.copy(), edits.pairs.copy())
-    got, _ = edge_sensitivity_scores(params, g, gstar, copy)
+    got = edge_sensitivity_scores(params, g, gstar, copy)
     np.testing.assert_array_equal(got, want)
     short = EditBatch(edits.kinds[1:].copy(), edits.pairs[1:].copy())
     with pytest.raises(GraphError, match="does not map"):
@@ -192,10 +193,33 @@ def test_scores_forward_budget():
     gstar, edits = generate_counterfactual_graph(g, 0.5, 0.5, seed=1)
     for iters in (1, 3, 5):
         models.reset_forward_calls()
-        _, nf = edge_sensitivity_scores(params, g, gstar, edits,
-                                        mask_iters=iters)
-        assert nf == 2 * iters
+        edge_sensitivity_scores(params, g, gstar, edits, mask_iters=iters)
         assert models.FORWARD_CALLS == 2 * iters
+
+
+@pytest.mark.parametrize("arg, value, message", [
+    ("mask_iters", 0, "mask_iters must be >= 1"),
+    ("mask_iters", 2.5, "mask_iters must be an integer, got 2.5"),
+    *[("binarize_threshold", t, "binarize_threshold must lie in (0, 1)")
+      for t in (0, 1, 2.0, np.nan)],
+    *[("mask_lr", lr, "mask_lr must be positive and finite")
+      for lr in (0, -1, np.nan, np.inf)],
+])
+def test_scores_refuse_what_the_config_refuses(arg, value, message):
+    cfg = EditTrainConfig()
+    setattr(cfg, arg, value)
+    with pytest.raises(GraphError) as info:
+        cfg.validate()
+    assert str(info.value) == message
+    # the scorer refuses it with the same line, before any forward
+    g = random_graph(8, 0.4, 3)
+    params = init_params("gcn", g.d, 4, 2, seed=0)
+    gstar, edits = generate_counterfactual_graph(g, 0.5, 0.5, seed=1)
+    start = models.FORWARD_CALLS
+    with pytest.raises(GraphError) as info:
+        edge_sensitivity_scores(params, g, gstar, edits, **{arg: value})
+    assert str(info.value) == message
+    assert models.FORWARD_CALLS == start
 
 
 def test_scores_leave_params_unchanged():
@@ -223,7 +247,7 @@ def test_score_gradient_matches_finite_differences():
     edits = [EdgeEdit.add(0, 1)]
     params = init_params("gcn", 2, 4, 2, seed=1)
 
-    scores, _ = edge_sensitivity_scores(params, g, gstar, edits, mask_iters=1)
+    scores = edge_sensitivity_scores(params, g, gstar, edits, mask_iters=1)
 
     def loss_at(score_val):
         mask = ScoreMatrix(gstar, init_score=score_val)
@@ -245,6 +269,14 @@ def test_select_edit_rules():
     assert select_edit(EditBatch.of([EdgeEdit.add(0, 5)]), np.array([1.0])) == 0
     with pytest.raises(GraphError):
         select_edit(EditBatch.of([]), np.zeros(0))
+
+
+@pytest.mark.parametrize("shape", [(1,), (3,), (2, 1)])
+def test_select_edit_refuses_importance_of_another_shape(shape):
+    batch = EditBatch.of([EdgeEdit.add(0, 2), EdgeEdit.delete(1, 3)])
+    with pytest.raises(GraphError) as info:
+        select_edit(batch, np.zeros(shape))
+    assert str(info.value) == f"select_edit: importance of shape {shape} for 2 edits"
 
 
 @st.composite
@@ -402,7 +434,7 @@ def test_fairedit_pick_ranks_well_against_bruteforce_oracle():
         gstar, edits = generate_counterfactual_graph(g, 0.25, 0.25, seed=seed)
         if len(edits) < 4:
             continue
-        scores, _ = edge_sensitivity_scores(params, g, gstar, edits)
+        scores = edge_sensitivity_scores(params, g, gstar, edits)
         pick = edits.edit(select_edit(edits, scores))
         edits = batch_edits(edits)
         fcs = {e: counterfactual_unfairness(params, apply_edit(g, e),

@@ -8,12 +8,11 @@ from fairedit.graph import (EdgeEdit, EditBatch, EditKind, Exhaustive, Graph,
                             GraphError, Sampled, SyntheticSpec, apply_edit,
                             apply_edits, candidate_edits, disjoint_union,
                             load_edge_list, load_node_table,
-                            normalize_features, perturb_features,
-                            save_edge_list, split, synth_biased_graph,
-                            with_split)
+                            normalize_features, perturb_features, split,
+                            synth_biased_graph, with_split)
 
 from conftest import (apply_pair, batch_edits, flip_sensitive, inverse,
-                      random_graph, sort_key)
+                      random_graph, save_edge_list, sort_key)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,13 @@ def test_mask_host_mismatch():
         forward(p, g, mask=mask)
 
 
+@pytest.mark.parametrize("score", [np.nan, np.inf, -np.inf])
+def test_score_matrix_refuses_non_finite_init_score(score):
+    with pytest.raises(GraphError) as info:
+        ScoreMatrix(random_graph(6, 0.5, 0), init_score=score)
+    assert str(info.value) == f"ScoreMatrix: init_score must be finite, got {score!r}"
+
+
 def test_sage_isolated_node_self_only():
     g = Graph.build(np.random.default_rng(0).normal(size=(3, 2)),
                     [(0, 1)], [0, 1, 0], [0, 1, 0], 0)
