@@ -103,37 +103,22 @@ class _EpochTwin:
     """What the candidates of one brute-force epoch share, built once from
     the base graph with no model forward: the base graph's counterfactual
     twin, whose node arrays every candidate's twin reuses, the base degrees,
-    and for GCN and SAGE the twin's layer-0 propagation and `near`, an
-    n x n boolean matrix of the rows an edit at a node makes stale: the
-    node itself, and for GCN its neighbours.
+    and the `models.CandidateAdjacencies` of the twins.
 
     `prepare` turns edits of one kind, which `brute_force_select` has
     checked before any forward, into candidate graphs with one vectorized
     pass (a kind's candidates all have the same edge count): it finds the
     rows' positions in the base keys, then builds every edited pair array (a
-    candidate's `keys` are built from it on first use, as any graph's are),
-    of every twin the pairs, degrees, and `models.directed_edges` with their
-    coefficients, and for GCN and SAGE the pass's layer 0 as one stacked
-    array (`models.first_layers_patched`), the base one with the rows `near`
-    u or v recomputed in both halves. An edit changes degrees only at u and
-    v. A GCN edge coefficient depends on both endpoints' degrees, so the
-    neighbours' rows change too; a SAGE row's coefficient is 1 / its own
-    degree, so only the rows of u and v do. Every other row keeps its
-    incoming edges, their order and their coefficients, and its base value
-    is exact. Each candidate graph views those arrays, with its twin
-    attached as `_twin` and the twin's adjacency as `_adj`."""
+    candidate's `keys` are built from it on first use, as any graph's are)
+    and every twin's pairs and degrees, from which the twins' adjacencies
+    are built for the whole pass. Each candidate graph views those arrays,
+    with its twin attached as `_twin` and the twin's adjacency as `_adj`."""
 
     def __init__(self, graph: Graph, architecture: str):
-        self.graph, self.architecture = graph, architecture
+        self.graph = graph
         self.twin = counterfactual_twin(graph)
-        n, p = graph.n, graph.pairs
         self.deg = graph.degrees()
-        self.layer0 = None
-        if architecture != "appnp":   # APPNP starts with a matmul: no layer 0
-            self.layer0 = models.adjacency(self.twin).first_layer(architecture).values
-            self.near = np.eye(n, dtype=bool)
-            if architecture == "gcn":
-                self.near[p[:, 0], p[:, 1]] = self.near[p[:, 1], p[:, 0]] = True
+        self.adjacencies = models.CandidateAdjacencies(graph, self.twin, architecture)
 
     def prepare(self, add: bool, pairs) -> list:
         """Candidate graphs of edits of one kind (`add`) on `pairs`, in row
@@ -154,40 +139,15 @@ class _EpochTwin:
         deg = np.repeat(self.deg[None], c, axis=0)
         deg[i, u] += step
         deg[i, v] += step
-        # the twin: [E; E + n], both halves with the candidate's degrees;
-        # node x of candidate k's twin is flat node off[k] + x
+        # the twin: [E; E + n], both halves with the candidate's degrees
         twin_pairs = np.concatenate([edges, edges + n], axis=1)
         deg = np.concatenate([deg, deg], axis=1)
-        off = 2 * n * i[:, None]
-        ends = deg.ravel()[twin_pairs + off[:, :, None]]
-        src, dst, coef = models.directed_edges(
-            twin_pairs, models.gcn_edge_coef(ends[..., 0], ends[..., 1]))
-        loop = models.gcn_loop_coef(deg)
-        for a in (edges, twin_pairs, src, dst, coef, deg, loop):
+        for a in (edges, twin_pairs, deg):
             a.flags.writeable = False
-        mean = None
-        if self.architecture == "sage":
-            mean = models.sage_mean_coef(deg.ravel()[dst + off])
-            mean.flags.writeable = False
-        layer0 = None
-        if self.layer0 is not None:
-            near = self.near[u] | self.near[v]
-            rows = np.concatenate([near, near], axis=1)
-            seg = (dst + off).ravel()
-            sel = np.flatnonzero(rows.ravel()[seg])
-            w = coef if mean is None else mean
-            layer0 = models.first_layers_patched(
-                self.architecture, twin.features, self.layer0, rows, seg[sel],
-                src.ravel()[sel], w.ravel()[sel], loop)
-
         out = []
-        for k in range(c):
+        for k, adj in enumerate(self.adjacencies.chunk(twin_pairs, deg, u, v)):
             cand = g.replace(pairs=edges[k])
             t = twin.replace(pairs=twin_pairs[k])
-            adj = models.NormalizedAdjacency.of_arrays(
-                t.features, deg[k], src[k], dst[k], coef[k], loop[k],
-                None if mean is None else mean[k],
-                None if layer0 is None else {self.architecture: ad.Tensor(layer0[k])})
             t._cached("_adj", lambda: adj)
             cand._cached("_twin", lambda: t)
             out.append(cand)
@@ -267,9 +227,10 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
     2 * mask_iters model forwards, counted in models.FORWARD_CALLS.
 
     `mask_iters`, `mask_lr` and `binarize_threshold` are refused as
-    `EditTrainConfig.validate` refuses them. `edits` (an `EditBatch`, or
-    `EdgeEdit`s) must map `graph` onto `gstar`; this is checked by applying
-    them.
+    `EditTrainConfig.validate` refuses them, and a model whose forward never
+    reads the mask (APPNP with no propagation step) after its first
+    backward. `edits` (an `EditBatch`, or `EdgeEdit`s) must map `graph`
+    onto `gstar`; this is checked by applying them.
 
     Returns the importance array, aligned with the batch rows."""
     EditTrainConfig(mask_iters=mask_iters, mask_lr=mask_lr,
@@ -292,6 +253,9 @@ def edge_sensitivity_scores(params, graph: Graph, gstar: Graph, edits,
             out_g = models.forward(params, graph, mask=mask_g)
             out_s = models.forward(params, gstar, mask=mask_s)
             ad.backward(ad.l1_diff(out_g, out_s))
+            if mask_g.scores.grad is None or mask_s.scores.grad is None:
+                raise GraphError("edge_sensitivity_scores: the model never reads "
+                                 "the edge mask, so its scores get no gradient")
             # gradient ascent on the gap, then binarize for the next forward
             grad_g = mask_g.ascend(mask_lr, binarize_threshold)
             grad_s = mask_s.ascend(mask_lr, binarize_threshold)

@@ -11,6 +11,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from enum import Enum
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -392,7 +393,12 @@ def load_edge_list(path, n: int) -> tuple:
 def normalize_features(features: np.ndarray, train_mask: np.ndarray,
                        sensitive_col: int) -> np.ndarray:
     """Z-score every non-sensitive column using training-row statistics.
-    Zero-variance columns map to all-zero; the sensitive column is untouched."""
+    Zero-variance columns map to all-zero; the sensitive column, which must
+    be one of the matrix's columns, is untouched."""
+    _at_least(0, SimpleNamespace(sensitive_col=sensitive_col), "sensitive_col")
+    if sensitive_col >= features.shape[1]:
+        raise GraphError(f"normalize_features: sensitive_col {sensitive_col} out of "
+                         f"range for {features.shape[1]} columns")
     if int(np.count_nonzero(train_mask)) < 2:
         raise GraphError("normalize_features needs >= 2 training rows")
     out = features.astype(np.float64).copy()

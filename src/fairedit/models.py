@@ -10,12 +10,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .graph import Graph, GraphError
+from .graph import Graph, GraphError, _at_least
 
 ARCHITECTURES = ("gcn", "sage", "appnp")
 
@@ -29,44 +30,43 @@ def reset_forward_calls() -> int:
     return old
 
 
-def gcn_edge_coef(deg_u, deg_v):
-    """D^-1/2 (A + I) D^-1/2 coefficient of edges with endpoint degrees
-    `deg_u`, `deg_v` (elementwise, any shape)."""
-    return 1.0 / np.sqrt((deg_u + 1.0) * (deg_v + 1.0))
-
-
-def gcn_loop_coef(deg):
-    """Self-loop coefficient of nodes with degrees `deg`."""
-    return 1.0 / (deg + 1.0)
-
-
-def sage_mean_coef(deg_dst):
-    """Neighbour-mean coefficient (no self loop) of edges into nodes with
-    degrees `deg_dst`: 1 / deg, with 1 for an isolated node."""
-    return 1.0 / np.maximum(deg_dst, 1).astype(np.float64)
-
-
-def directed_edges(pairs, coef):
-    """`src`, `dst` and `coef` of the undirected edges `pairs` (..., m, 2)
-    with coefficients `coef` (..., m), each edge in both directions:
-    src = [u, v], dst = [v, u], and the coefficient twice."""
+def edge_coefficients(pairs, deg):
+    """The adjacency arrays of c graphs of N nodes at once, from their
+    undirected edges `pairs` (c, m, 2) and degrees `deg` (c, N): `src`,
+    `dst` and `coef` (c, 2m), each edge in both directions (src = [u, v],
+    dst = [v, u], the coefficient twice), and `self_coef` (c, N), of
+    D^-1/2 (A + I) D^-1/2: 1 / sqrt((deg_u + 1)(deg_v + 1)) per edge and
+    1 / (deg + 1) per self loop."""
+    ends = deg.ravel()[pairs + _flat_offsets(deg)[..., None]]
+    coef = 1.0 / np.sqrt((ends[..., 0] + 1.0) * (ends[..., 1] + 1.0))
     u, v = pairs[..., 0], pairs[..., 1]
     return (np.concatenate([u, v], axis=-1), np.concatenate([v, u], axis=-1),
-            np.concatenate([coef, coef], axis=-1))
+            np.concatenate([coef, coef], axis=-1), 1.0 / (deg + 1.0))
+
+
+def mean_coefficients(dst, deg):
+    """SAGE's neighbour-mean coefficient (no self loop) of each edge into
+    `dst` (c, E) of graphs with degrees `deg` (c, N): 1 / the degree of the
+    edge's target, 1 for an isolated node."""
+    return 1.0 / np.maximum(deg.ravel()[dst + _flat_offsets(deg)], 1).astype(np.float64)
+
+
+def _flat_offsets(deg):
+    """k * N for each graph k of degrees `deg` (c, N), as a (c, 1) column:
+    node x of graph k is flat node k * N + x."""
+    c, n = deg.shape
+    return n * np.arange(c)[:, None]
 
 
 class NormalizedAdjacency:
     """Per-edge coefficients of the self-loop-augmented, symmetrically
-    normalized adjacency D^-1/2 (A + I) D^-1/2 of a graph, stored as
-    `directed_edges` arrays (each undirected edge in both directions). The
-    edge-score index and the neighbor-mean coefficients are built on first
-    use, since only masked and SAGE forwards read them.
+    normalized adjacency D^-1/2 (A + I) D^-1/2 of a graph, stored as the
+    `edge_coefficients` arrays of a batch of one. The edge-score index and
+    the neighbor-mean coefficients are built on first use, since only
+    masked and SAGE forwards read them.
 
     The unmasked first-layer propagation of the graph's features uses no
     model parameters, so it is also computed on first use and then shared.
-    `of_arrays` makes an adjacency from arrays built elsewhere with the
-    functions above, optionally with its layer 0 given, e.g. one copy of
-    `first_layers_patched`.
     `forward` keeps one adjacency per Graph, in the graph's memo; the
     adjacency keeps the graph's features, not the graph, so the memo makes
     no reference cycle and a dropped graph is freed at once.
@@ -74,31 +74,16 @@ class NormalizedAdjacency:
     An adjacency made from a graph is reused by many forwards and
     backwards, so it also holds an `ad.EdgeIndex` of its directed edges,
     in which the aggregation kernel keeps its flat bins. One made by
-    `of_arrays` serves one forward: its `index` is None, and its
-    aggregations make no bins to keep."""
+    `CandidateAdjacencies` serves one forward: its `index` is None, and
+    its aggregations make no bins to keep."""
 
     index = None
 
     def __init__(self, graph: Graph):
         deg = graph.degrees()
-        ends = deg[graph.pairs]
-        src, dst, coef = directed_edges(
-            graph.pairs, gcn_edge_coef(ends[:, 0], ends[:, 1]))
-        self._fill(graph.features, deg, src, dst, coef, gcn_loop_coef(deg), {})
+        src, dst, coef, loop = edge_coefficients(graph.pairs[None], deg[None])
+        self._fill(graph.features, deg, src[0], dst[0], coef[0], loop[0], {})
         self.index = ad.EdgeIndex(self.src, self.dst)
-
-    @classmethod
-    def of_arrays(cls, features, deg, src, dst, coef, self_coef,
-                  mean_coef=None, layer0=None) -> "NormalizedAdjacency":
-        """The adjacency of a graph with node `features` and degrees `deg`,
-        from its `directed_edges` `src`, `dst` and `coef`, its `self_coef`
-        and, if known, its `mean_coef`; `layer0`, if given, maps an
-        architecture to its read-only first layer (a `Tensor`)."""
-        adj = cls.__new__(cls)
-        adj._fill(features, deg, src, dst, coef, self_coef, dict(layer0 or {}))
-        if mean_coef is not None:
-            adj.mean_coef = mean_coef
-        return adj
 
     def _fill(self, features, deg, src, dst, coef, self_coef, first_layer) -> None:
         self.features, self.deg = features, deg
@@ -112,12 +97,12 @@ class NormalizedAdjacency:
 
     @cached_property
     def mean_coef(self) -> np.ndarray:
-        return sage_mean_coef(self.deg[self.dst])
+        return mean_coefficients(self.dst[None], self.deg[None])[0]
 
     def first_layer(self, architecture: str) -> Tensor:
         """Layer 0 of an unmasked GCN or SAGE model on the graph's features,
-        before its weights, read-only; computed on first use (unless
-        `of_arrays` was given it), then shared."""
+        before its weights, read-only; computed on first use (unless given
+        at construction), then shared."""
         out = self._first_layer.get(architecture)
         if out is None:
             out = _PROPAGATE[architecture](Tensor(self.features), self, None)
@@ -126,35 +111,71 @@ class NormalizedAdjacency:
         return out
 
 
-def first_layers_patched(architecture: str, x: np.ndarray, base: np.ndarray,
-                         rows: np.ndarray, seg, gather, w,
-                         self_coef=None) -> np.ndarray:
-    """Layer 0 of c adjacencies on the node features `x` (N, d), as one
-    read-only (c, N, ·) array: copy k is `base`, the layer 0 of another
-    adjacency on `x`, with the rows marked in `rows` (c, N) recomputed.
-    Every unmarked row of copy k must have the same incoming edges in its
-    adjacency as in base's, in the same order and with the same
-    coefficients. The edges into the marked rows are listed by `seg` (their
-    flat row k * N + dst), `gather` (src) and `w` (coefficient: GCN `coef`,
-    SAGE `mean_coef`), each copy's edges in its adjacency's edge order;
-    `self_coef` (c, N) is GCN's.
+class CandidateAdjacencies:
+    """The adjacencies of the counterfactual twins of one brute-force
+    epoch's candidates (`graph` with one edge added or deleted), a chunk at
+    a time, from what the epoch shares: the base `twin`'s features and, for
+    GCN and SAGE, its layer 0 and `near`, an n x n boolean matrix of the
+    rows an edit at a node makes stale: the node itself, and for GCN its
+    neighbours. An edit changes degrees only at u and v. A GCN edge
+    coefficient depends on both endpoints' degrees, so the neighbours' rows
+    change too; a SAGE row's coefficient is 1 / its own degree, so only the
+    rows of u and v do. Every other row keeps its incoming edges, their
+    order and their coefficients, and its base value is exact."""
 
-    The marked rows' sums are one `ad._segment_sum` over the marked rows
-    alone, with bins made for this call. It adds each row's edges in edge
-    order, as the full propagation does, so a recomputed row is bitwise
-    the full propagation's."""
-    c, n = rows.shape
-    at = np.flatnonzero(rows)      # the marked rows, flat: k * n + node
-    idx = np.searchsorted(at, seg)
-    nb = ad._segment_sum(idx, gather, w, x, bins=ad._FlatBins(idx), n=len(at))
-    if architecture == "gcn":
-        nb = nb + self_coef.ravel()[at, None] * x[at % n]
-    out = np.repeat(base[None], c, axis=0)
-    # a SAGE layer 0 is the features, then the neighbour means: its marked
-    # rows change in the last d columns only
-    out.reshape(c * n, -1)[at, out.shape[2] - nb.shape[1]:] = nb
-    out.flags.writeable = False
-    return out
+    def __init__(self, graph: Graph, twin: Graph, architecture: str):
+        self.architecture, self.features = architecture, twin.features
+        self.layer0 = None
+        if architecture != "appnp":   # APPNP starts with a matmul: no layer 0
+            self.layer0 = adjacency(twin).first_layer(architecture).values
+            p = graph.pairs
+            self.near = np.eye(graph.n, dtype=bool)
+            if architecture == "gcn":
+                self.near[p[:, 0], p[:, 1]] = self.near[p[:, 1], p[:, 0]] = True
+
+    def chunk(self, pairs, deg, u, v) -> list:
+        """The adjacencies of c candidate twins with edges `pairs` (c, m, 2)
+        and degrees `deg` (c, 2n), candidate k's edit being at (u[k], v[k])
+        of the base graph. Each serves one forward, so it holds no
+        `EdgeIndex`. For GCN and SAGE their layer 0 is one read-only
+        (c, 2n, ·) array: the base twin's, with the rows `near` u or v
+        recomputed in both halves by one `ad._segment_sum` over those rows
+        alone, with bins made for this call. It adds each row's edges in
+        edge order, as the full propagation does, so every row is bitwise
+        the full propagation's."""
+        src, dst, coef, loop = edge_coefficients(pairs, deg)
+        mean = mean_coefficients(dst, deg) if self.architecture == "sage" else None
+        for a in (src, dst, coef, loop, mean):
+            if a is not None:
+                a.flags.writeable = False
+        c, n = deg.shape
+        layer0 = None
+        if self.layer0 is not None:
+            x, near = self.features, self.near[u] | self.near[v]
+            rows = np.concatenate([near, near], axis=1)
+            at = np.flatnonzero(rows)       # the stale rows, flat: k * n + node
+            seg = (dst + _flat_offsets(deg)).ravel()
+            sel = np.flatnonzero(rows.ravel()[seg])
+            idx = np.searchsorted(at, seg[sel])
+            w = coef if mean is None else mean
+            nb = ad._segment_sum(idx, src.ravel()[sel], w.ravel()[sel], x,
+                                 bins=ad._FlatBins(idx), n=len(at))
+            if self.architecture == "gcn":
+                nb = nb + loop.ravel()[at, None] * x[at % n]
+            layer0 = np.repeat(self.layer0[None], c, axis=0)
+            # a SAGE layer 0 is the features, then the neighbour means: its
+            # stale rows change in the last d columns only
+            layer0.reshape(c * n, -1)[at, layer0.shape[2] - nb.shape[1]:] = nb
+            layer0.flags.writeable = False
+        adjs = []
+        for k in range(c):
+            adj = NormalizedAdjacency.__new__(NormalizedAdjacency)
+            adj._fill(self.features, deg[k], src[k], dst[k], coef[k], loop[k],
+                      {} if layer0 is None else {self.architecture: Tensor(layer0[k])})
+            if mean is not None:
+                adj.mean_coef = mean[k]
+            adjs.append(adj)
+        return adjs
 
 
 SATURATING_SCORE = 50.0
@@ -178,13 +199,11 @@ class ScoreMatrix:
         self.active = np.ones(m, dtype=bool)
 
     def ascend(self, lr: float, threshold: float) -> np.ndarray:
-        """One refinement step: move the scores by lr times their gradient
-        (zero if no gradient reached them, as in an APPNP model with no
-        propagation step), clear the gradient and binarize again: an edge
-        stays active while sigmoid(score) > threshold. Returns the gradient
-        used."""
-        grad = self.scores.grad if self.scores.grad is not None \
-            else np.zeros_like(self.scores.values)
+        """One refinement step: move the scores by lr times their gradient,
+        which a backward must have reached, clear the gradient and binarize
+        again: an edge stays active while sigmoid(score) > threshold.
+        Returns the gradient used."""
+        grad = self.scores.grad
         self.scores.values += lr * grad
         self.scores.zero_grad()
         self.active = ad._sigmoid(self.scores.values[:, 0]) > threshold
@@ -212,12 +231,10 @@ def init_params(architecture: str, in_dim: int, hidden: int, depth: int,
     """Glorot-uniform initialization, deterministic under seed."""
     if architecture not in ARCHITECTURES:
         raise GraphError(f"unknown architecture {architecture!r}")
-    if depth < 1:
-        raise GraphError("depth must be >= 1")
-    if hidden < 1:
-        raise GraphError("hidden must be >= 1")
-    if power_iters < 0:
-        raise GraphError("power_iters must be >= 0")
+    sizes = SimpleNamespace(depth=depth, hidden=hidden, power_iters=power_iters,
+                            seed=seed)
+    _at_least(1, sizes, "depth", "hidden")
+    _at_least(0, sizes, "power_iters", "seed")
     # tau = 1 is allowed as the no-propagation edge case
     if architecture == "appnp" and not (0.0 < tau <= 1.0):
         raise GraphError("tau must lie in (0, 1]")
@@ -334,4 +351,5 @@ def train_step(params: ModelParams, graph: Graph, optimizer) -> float:
 
 def train(params: ModelParams, graph: Graph, optimizer, epochs: int) -> list[float]:
     """Plain training loop: `epochs` optimizer steps, no graph editing."""
+    _at_least(0, SimpleNamespace(epochs=epochs), "epochs")
     return [train_step(params, graph, optimizer) for _ in range(epochs)]

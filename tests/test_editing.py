@@ -163,6 +163,19 @@ def test_scores_zero_model():
     assert scores.shape == (len(edits),) and (scores == 0.0).all()
 
 
+def test_scores_refuse_a_model_that_never_reads_the_mask():
+    # APPNP with no propagation step is an MLP: no gradient reaches the
+    # mask, and every importance would read 0
+    g = random_graph(8, 0.4, 3)
+    params = init_params("appnp", g.d, 4, 2, seed=0, power_iters=0)
+    gstar, edits = generate_counterfactual_graph(g, 0.5, 0.5, seed=1)
+    assert len(edits)
+    with pytest.raises(GraphError) as info:
+        edge_sensitivity_scores(params, g, gstar, edits)
+    assert str(info.value) == ("edge_sensitivity_scores: the model never reads "
+                               "the edge mask, so its scores get no gradient")
+
+
 def test_scores_inconsistent_edits():
     g = random_graph(6, 0.5, 1)
     params = init_params("gcn", g.d, 4, 2, seed=0)

@@ -141,6 +141,21 @@ def test_normalize_sensitive_untouched():
     np.testing.assert_array_equal(out[:, 0], feats[:, 0])
 
 
+@pytest.mark.parametrize("col, msg", [
+    (99, "normalize_features: sensitive_col 99 out of range for 9 columns"),
+    (9, "normalize_features: sensitive_col 9 out of range for 9 columns"),
+    (-1, "sensitive_col must be >= 0"),
+    (2.5, "sensitive_col must be an integer, got 2.5"),
+])
+def test_normalize_refuses_bad_sensitive_col(col, msg):
+    # accepted, the real sensitive column would be z-scored
+    feats = np.column_stack([np.array([0.0, 1.0, 1.0, 0.0]),
+                             np.arange(32.0).reshape(4, 8)])
+    with pytest.raises(GraphError) as info:
+        normalize_features(feats, np.ones(4, dtype=bool), col)
+    assert str(info.value) == msg
+
+
 def test_split_exact_sizes():
     labels = np.array([0, 1] * 50)
     tr, va, te = split(100, (0.5, 0.25, 0.25), labels, seed=0)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import fairedit.models as models
 from fairedit.autodiff import SGD, Adam, Tensor
+from fairedit.editing import EditTrainConfig, train_bruteforce
 from fairedit.graph import (EdgeEdit, Graph, GraphError, SyntheticSpec,
                             apply_edit, counterfactual_twin,
                             disjoint_union, synth_biased_graph,
@@ -51,6 +52,54 @@ def test_adjacency_path_graph():
     adj = NormalizedAdjacency(g)
     idx = list(map(tuple, g.pairs)).index((0, 1))
     assert adj.coef[idx] == pytest.approx(1.0 / np.sqrt(2 * 3))
+
+
+@st.composite
+def _same_size_graphs(draw):
+    """1-4 graphs of n nodes and m edges each; few edges leave nodes isolated."""
+    n = draw(st.integers(1, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    m = draw(st.integers(0, len(pairs)))
+    return [Graph.build(np.zeros((n, 1)), draw(st.permutations(pairs))[:m],
+                        np.zeros(n, dtype=int), np.zeros(n, dtype=int), 0)
+            for _ in range(draw(st.integers(1, 4)))]
+
+
+@settings(max_examples=80, deadline=None)
+@given(graphs=_same_size_graphs())
+def test_adjacency_arrays_equal_dense_oracle(graphs):
+    # D^-1/2 (A + I) D^-1/2 and SAGE's A / deg built densely; the summation
+    # order differs from the builder's, so the coefficients agree to a few ulp
+    tol = 8 * np.finfo(np.float64).eps
+    for g in graphs:
+        n, adj = g.n, NormalizedAdjacency(g)
+        a = np.zeros((n, n))
+        for u, v in g.pairs.tolist():
+            a[u, v] = a[v, u] = 1.0
+        deg = a.sum(axis=1)
+        d = 1.0 / np.sqrt(deg + 1.0)
+        gcn = d[:, None] * (a + np.eye(n)) * d[None, :]
+        mean = a / np.maximum(deg, 1.0)[:, None]
+        # each undirected edge once in each direction, as (row dst, column src)
+        seen = np.zeros((n, n))
+        np.add.at(seen, (adj.dst, adj.src), 1.0)
+        np.testing.assert_array_equal(seen, a)
+        np.testing.assert_array_equal(adj.deg, deg)
+        np.testing.assert_allclose(adj.coef, gcn[adj.dst, adj.src], rtol=tol, atol=0)
+        np.testing.assert_allclose(adj.self_coef, np.diag(gcn), rtol=tol, atol=0)
+        np.testing.assert_allclose(adj.mean_coef, mean[adj.dst, adj.src], rtol=tol, atol=0)
+    # a batch of c graphs is c single builds, byte for byte
+    deg = np.stack([g.degrees() for g in graphs])
+    src, dst, coef, loop = models.edge_coefficients(
+        np.stack([g.pairs for g in graphs]), deg)
+    mean = models.mean_coefficients(dst, deg)
+    for k, g in enumerate(graphs):
+        adj = NormalizedAdjacency(g)
+        for name, got in (("src", src), ("dst", dst), ("coef", coef),
+                          ("self_coef", loop), ("mean_coef", mean)):
+            want = getattr(adj, name)
+            assert (got[k].dtype, got[k].shape) == (want.dtype, want.shape), name
+            assert got[k].tobytes() == want.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -287,11 +336,28 @@ def test_forward_counter_increments():
     ({"hidden": 0}, "hidden"),
     ({"hidden": -3, "depth": 1}, "hidden"),
     ({"power_iters": -1}, "power_iters"),
+    ({"hidden": 2.5}, "hidden must be an integer, got 2.5"),
+    ({"depth": 2.0}, "depth must be an integer, got 2.0"),
+    ({"seed": -1}, "seed must be >= 0"),
+    ({"power_iters": 2.5}, "power_iters must be an integer, got 2.5"),
 ])
 def test_init_params_rejects_bad_sizes(arch, kw, msg):
-    args = {"hidden": 4, "depth": 2, **kw}
-    with pytest.raises(GraphError, match=msg):
-        init_params(arch, 3, seed=0, **args)
+    args = {"hidden": 4, "depth": 2, "seed": 0, **kw}
+    with pytest.raises(GraphError, match=msg) as info:
+        init_params(arch, 3, **args)
+    assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize("epochs, msg", [(-1, "epochs must be >= 0"),
+                                         (2.5, "epochs must be an integer, got 2.5")])
+def test_train_rejects_bad_epochs(epochs, msg):
+    g = random_graph(6, 0.5, 0)
+    p = init_params("gcn", g.d, 4, 2, seed=0)
+    start = models.FORWARD_CALLS
+    with pytest.raises(GraphError) as info:
+        train(p, g, SGD(0.1), epochs)
+    assert str(info.value) == msg
+    assert models.FORWARD_CALLS == start
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +385,18 @@ def _adjacency_builds():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(NormalizedAdjacency, "__init__", counting)
         yield built
+
+
+@pytest.mark.parametrize("arch", models.ARCHITECTURES)
+def test_bruteforce_builds_adjacencies_per_epoch_not_per_candidate(arch):
+    # per epoch: the train step's graph, and for GCN and SAGE the base twin
+    # whose layer 0 the candidates patch; never one per candidate (28 here)
+    g, epochs = random_graph(8, 0.4, 2), 2
+    p = init_params(arch, g.d, 4, 2, seed=0)
+    config = EditTrainConfig(alpha=epochs, K=epochs)
+    with _adjacency_builds() as built:
+        train_bruteforce(p, g, SGD(0.1), config)
+    assert len(built) == epochs * (1 if arch == "appnp" else 2)
 
 
 @contextmanager
